@@ -6,18 +6,27 @@ rainbow copy of H2.  Deciding over canonical set partitions of E(G)
 (restricted-growth strings over the fixed edge order) is exhaustive,
 because both pattern predicates are invariant under colour renaming.
 
-The search prunes every extension of a partial colouring that already
-contains one of the patterns: assigned colours never change when the
-prefix is extended, so such copies persist.  Pruned subtrees are
-accounted into the examined count by the number of canonical
-colourings they cover.
+The search colours the edges in order and prunes every extension of a
+partial colouring that already contains one of the patterns: assigned
+colours never change when the prefix is extended, so such copies
+persist.  Pruned subtrees are accounted into the examined count by the
+number of canonical colourings they cover.
+
+The prune check is anchored on the newest coloured edge.  The search
+only reaches a prefix of i edges when the prefix of i - 1 edges held no
+copy, so the longer prefix holds one exactly when some copy uses edge
+i - 1: a monochromatic H1 through it inside its colour class, or a
+rainbow H2 through it.  Asking only that prunes exactly the nodes a
+check of the whole prefix would.  The colour classes, the prefix
+adjacency and the edge colours are kept up to date as edges are
+coloured and uncoloured, and the pinned searches follow vertex orders
+planned once per call (``graphs.edge_orbit_plans``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from typing import Iterator
 
 from .errors import BudgetError, DomainError
@@ -27,8 +36,10 @@ from .graphs import (
     colour_degree,
     complete_graph,
     contains,
+    edge_orbit_plans,
     find_monochromatic_copy,
     find_rainbow_copy,
+    has_copy_through,
 )
 
 DEFAULT_EDGE_BUDGET = 16
@@ -53,12 +64,17 @@ def enumerate_colourings(g: Graph) -> Iterator[Colouring]:
     yield from rec(0, 0)
 
 
-@lru_cache(maxsize=None)
 def _completions(blocks: int, remaining: int) -> int:
-    """Number of restricted-growth completions from a prefix state."""
-    if remaining == 0:
-        return 1
-    return blocks * _completions(blocks, remaining - 1) + _completions(blocks + 1, remaining - 1)
+    """Number of restricted-growth completions from a prefix state.
+
+    Iterates C(b, r) = b * C(b, r - 1) + C(b + 1, r - 1), C(b, 0) = 1, one
+    r at a time: after step r, ``row[j]`` holds C(blocks + j, r).
+    """
+    row = [1] * (remaining + 1)
+    for r in range(1, remaining + 1):
+        for j in range(remaining - r + 1):
+            row[j] = (blocks + j) * row[j] + row[j + 1]
+    return row[0]
 
 
 def bell_number(m: int) -> int:
@@ -83,10 +99,6 @@ class ArrowVerdict:
     def __post_init__(self):
         if self.arrows == (self.counterexample is not None):
             raise DomainError("counterexample present iff the verdict is NotArrows")
-
-
-def _prefix_host(g: Graph, count: int) -> Graph:
-    return Graph(g.n, frozenset(g.sorted_edges[:count]))
 
 
 def _verified_not_arrows(g: Graph, chi: Colouring, h1: Graph, h2: Graph, examined: int) -> ArrowVerdict:
@@ -122,38 +134,91 @@ def arrows(g: Graph, h1: Graph, h2: Graph, edge_budget: int | None = DEFAULT_EDG
             return _verified_not_arrows(g, Colouring.rainbow(g), h1, h2, 1)
         return ArrowVerdict(True, None, 0)  # every copy of h1 is monochromatic
 
-    m = g.e
-    values = [0] * m
-    examined = 0
-
-    def settled(count: int) -> bool:
-        """Does the prefix of ``count`` coloured edges contain a pattern?"""
-        host = _prefix_host(g, count)
-        chi = Colouring.from_values(host, values[:count])
-        if find_monochromatic_copy(host, chi, h1) is not None:
-            return True
-        return find_rainbow_copy(host, chi, h2) is not None
-
-    def rec(i: int, blocks: int) -> Colouring | None:
-        nonlocal examined
-        if settled(i):
-            # every extension keeps the copy: assigned colours are final
-            examined += _completions(blocks, m - i)
-            return None
-        if i == m:
-            examined += 1
-            return Colouring.from_values(g, values)
-        for c in range(blocks + 1):
-            values[i] = c
-            bad = rec(i + 1, max(blocks, c + 1))
-            if bad is not None:
-                return bad
-        return None
-
-    counterexample = rec(0, 0)
-    if counterexample is None:
+    if h1.e == 0 or h2.e == 0:
+        # an edgeless pattern that fits is a copy in every colouring
+        return ArrowVerdict(True, None, bell_number(g.e))
+    values, examined = _least_avoiding(g, h1, h2)
+    if values is None:
         return ArrowVerdict(True, None, examined)
-    return _verified_not_arrows(g, counterexample, h1, h2, examined)
+    return _verified_not_arrows(g, Colouring.from_values(g, values), h1, h2, examined)
+
+
+def _least_avoiding(g: Graph, h1: Graph, h2: Graph) -> tuple[list[int] | None, int]:
+    """Depth-first search of the restricted-growth strings of E(g), for
+    patterns that both have edges.
+
+    Returns the least string avoiding both patterns, or None, and the
+    number of canonical colourings settled on the way.
+    """
+    n, m = g.n, g.e
+    edges = g.sorted_edges
+    e1, e2 = h1.e, h2.e
+    plans1, plans2 = edge_orbit_plans(h1), edge_orbit_plans(h2)
+    values = [0] * m
+    blocks = [0] * (m + 1)  # blocks[i]: colours used by the first i edges
+    # the prefix adjacency, holding each coloured edge's colour
+    nbr_colour: list[dict[int, int]] = [{} for _ in range(n)]
+    class_adj: list[list[set[int]]] = []  # per colour, its edges' adjacency
+    class_size: list[int] = []
+    counts: dict[tuple[int, int], int] = {}
+
+    def colour(u: int, v: int) -> int:
+        return nbr_colour[u][v]
+
+    def assign(i: int, c: int) -> None:
+        a, b = edges[i]
+        values[i] = c
+        blocks[i + 1] = max(blocks[i], c + 1)
+        nbr_colour[a][b] = nbr_colour[b][a] = c
+        if c == len(class_adj):
+            class_adj.append([set() for _ in range(n)])
+            class_size.append(0)
+        class_adj[c][a].add(b)
+        class_adj[c][b].add(a)
+        class_size[c] += 1
+
+    def undo(i: int) -> None:
+        a, b = edges[i]
+        c = values[i]
+        del nbr_colour[a][b], nbr_colour[b][a]
+        class_adj[c][a].discard(b)
+        class_adj[c][b].discard(a)
+        class_size[c] -= 1
+
+    def settles(i: int) -> bool:
+        """Does a copy run through edge i, the newest coloured one?"""
+        c = values[i]
+        if class_size[c] >= e1 and has_copy_through(h1, plans1, n, class_adj[c], edges[i]):
+            return True
+        return (
+            i + 1 >= e2
+            and blocks[i + 1] >= e2
+            and has_copy_through(h2, plans2, n, nbr_colour, edges[i], colour)
+        )
+
+    examined = 0
+    i = 0  # edges coloured so far
+    while i < m:
+        assign(i, 0)
+        i += 1
+        while settles(i - 1):
+            # every extension keeps the copy: assigned colours are final
+            key = (blocks[i], m - i)
+            if key not in counts:
+                counts[key] = _completions(*key)
+            examined += counts[key]
+            # move to the next colour string in order, past exhausted edges
+            while True:
+                i -= 1
+                c = values[i]
+                undo(i)
+                if c < blocks[i]:
+                    assign(i, c + 1)
+                    i += 1
+                    break
+                if i == 0:
+                    return None, examined
+    return values, examined + 1
 
 
 def constrained_ramsey_number(

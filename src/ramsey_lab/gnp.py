@@ -15,6 +15,7 @@ import concurrent.futures
 import hashlib
 import itertools
 import math
+import os
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -81,6 +82,20 @@ def _binomial_stats(successes: int, count: int) -> tuple[float, float]:
     return est, math.sqrt(est * (1.0 - est) / count)
 
 
+def _run_trials(trial, work: list, jobs: int) -> list:
+    """``trial`` applied to every work item, in order.
+
+    ``jobs`` > 1 spreads the items over a process pool of at most
+    ``os.cpu_count()`` workers; more workers than processors would only
+    contend for them.
+    """
+    jobs = min(jobs, os.cpu_count() or 1)
+    if jobs > 1:
+        with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
+            return list(pool.map(trial, work, chunksize=8))
+    return [trial(w) for w in work]
+
+
 def _containment_trial(args) -> list[bool]:
     n, pattern_n, pattern_edges, ps, seed, trial = args
     pattern = Graph.of(pattern_n, pattern_edges)
@@ -108,11 +123,7 @@ def containment_sweep(
     """
     ps = [float(p) for p in p_grid]
     work = [(n, pattern.n, tuple(pattern.edges), ps, seed, t) for t in range(trials)]
-    if jobs > 1:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(_containment_trial, work, chunksize=8))
-    else:
-        results = [_containment_trial(w) for w in work]
+    results = _run_trials(_containment_trial, work, jobs)
     rows = []
     for j, p in enumerate(ps):
         successes = sum(r[j] for r in results)
@@ -152,11 +163,7 @@ def arrow_probability(
         (n, p, (h1.n, tuple(h1.edges)), (h2.n, tuple(h2.edges)), seed, t, edge_cap)
         for t in range(trials)
     ]
-    if jobs > 1:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(_arrow_trial, work, chunksize=8))
-    else:
-        results = [_arrow_trial(w) for w in work]
+    results = _run_trials(_arrow_trial, work, jobs)
     undecided = sum(r is None for r in results)
     successes = sum(bool(r) for r in results if r is not None)
     est, err = _binomial_stats(successes, trials - undecided)

@@ -235,32 +235,70 @@ class Embedding:
         return tuple(sorted(self.mapping))
 
 
+Plan = tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]
+
+
+def _plan(pattern: Graph, pinned: Edge | None = None) -> Plan:
+    """Placement order for ``_search`` and, per position, the pattern
+    neighbours placed before that vertex.
+
+    Without ``pinned``, vertices go in decreasing degree order.  A pinned
+    oriented edge (x, y) puts x and y first; each later vertex is then the
+    one with the most placed neighbours (ties to higher degree, then lower
+    id), so the candidates of a connected vertex are one host neighbourhood.
+    """
+    degree = pattern.degree
+    if pinned is None:
+        order = sorted(range(pattern.n), key=lambda v: (-degree(v), v))
+    else:
+        order = list(pinned)
+        rest = [v for v in range(pattern.n) if v not in pinned]
+        while rest:
+            placed = set(order)
+            v = min(rest, key=lambda v: (-len(pattern.adj[v] & placed), -degree(v), v))
+            order.append(v)
+            rest.remove(v)
+    pos = {v: i for i, v in enumerate(order)}
+    placed_nbrs = tuple(tuple(u for u in pattern.adj[v] if pos[u] < pos[v]) for v in order)
+    return tuple(order), placed_nbrs
+
+
 def _search(
     pattern: Graph,
     host_n: int,
     host_adj,
     rainbow_colour: Callable[[int, int], int] | None,
+    plan: Plan | None = None,
+    pin: Edge | None = None,
 ) -> tuple[int, ...] | None:
     """Backtracking embedding search; returns a vertex map or None.
 
-    ``host_adj`` may be any indexable of neighbour sets, so callers can
-    restrict the usable edges (the monochromatic finder passes one
-    colour class).  ``rainbow_colour`` activates the pairwise-distinct
-    colour constraint.  Pattern vertices are placed in decreasing
-    degree order and host candidates ascend, so the first embedding
-    found is deterministic.
+    ``host_adj`` may be any indexable of neighbour sets (or of mappings
+    keyed by neighbour), so callers can restrict the usable edges (the
+    monochromatic finder passes one colour class).  ``rainbow_colour``
+    activates the pairwise-distinct colour constraint.  Vertices are
+    placed in the order of ``plan`` (by default ``_plan(pattern)``) and
+    host candidates ascend, so the first embedding found is
+    deterministic.  ``pin`` = (a, b) places the plan's first two
+    vertices, a pattern edge, on the host edge (a, b) before the search
+    starts.
     """
     vp = pattern.n
     if vp > host_n:
         return None
-    order = sorted(range(vp), key=lambda v: (-pattern.degree(v), v))
-    pos = {v: i for i, v in enumerate(order)}
-    # pattern neighbours already placed when a vertex comes up
-    placed_nbrs = [[u for u in pattern.adj[v] if pos[u] < pos[v]] for v in order]
+    order, placed_nbrs = _plan(pattern) if plan is None else plan
 
     mapping = [-1] * vp
     used_host: set[int] = set()
     used_colours: set[int] = set()
+    start = 0
+    if pin is not None:
+        a, b = pin
+        mapping[order[0]], mapping[order[1]] = a, b
+        used_host.update(pin)
+        if rainbow_colour is not None:
+            used_colours.add(rainbow_colour(a, b))
+        start = 2
 
     def extend(i: int) -> bool:
         if i == vp:
@@ -298,9 +336,46 @@ def _search(
             used_colours.difference_update(new_colours)
         return False
 
-    if extend(0):
+    if extend(start):
         return tuple(mapping)
     return None
+
+
+def edge_orbit_plans(pattern: Graph) -> tuple[Plan, ...]:
+    """Search plans pinning one oriented pattern edge each, one plan per
+    orbit of oriented edges under the pattern's automorphisms.
+
+    A copy through a host edge (a, b) maps some oriented pattern edge
+    (x, y) onto it; composing that copy with an automorphism taking the
+    orbit's representative to (x, y) gives a copy mapping the
+    representative onto (a, b).  So pinning every representative to
+    (a, b), one orientation only, finds a copy through (a, b) whenever
+    one exists.  Orbit membership is itself a pinned search: an
+    embedding of the pattern into itself is an automorphism.
+    """
+    plans: list[Plan] = []
+    for u, v in pattern.sorted_edges:
+        for xy in ((u, v), (v, u)):
+            if not any(_search(pattern, pattern.n, pattern.adj, None, p, xy) is not None for p in plans):
+                plans.append(_plan(pattern, xy))
+    return tuple(plans)
+
+
+def has_copy_through(
+    pattern: Graph,
+    plans: tuple[Plan, ...],
+    host_n: int,
+    host_adj,
+    edge: Edge,
+    rainbow_colour: Callable[[int, int], int] | None = None,
+) -> bool:
+    """Is there a copy of ``pattern`` that uses the host edge ``edge``?
+
+    ``plans`` are ``edge_orbit_plans(pattern)``; ``host_adj`` and
+    ``rainbow_colour`` are as for ``_search``, and ``host_adj`` must hold
+    ``edge``.
+    """
+    return any(_search(pattern, host_n, host_adj, rainbow_colour, p, edge) is not None for p in plans)
 
 
 def find_embedding(host: Graph, pattern: Graph) -> Embedding | None:
@@ -488,12 +563,6 @@ def parse_graph(text: str) -> Graph:
             raise GraphParseError("empty term in disjoint union", text)
         g = g.disjoint_union(_parse_atom(token))
     return g
-
-
-def format_edge_list(g: Graph) -> str:
-    lines = [str(g.n)]
-    lines += [f"{u} {v}" for u, v in g.sorted_edges]
-    return "\n".join(lines)
 
 
 # ---------------------------------------------------------------------------

@@ -4,8 +4,9 @@ Everything here favours obviousness over speed: copies are found by
 trying every injective vertex map, densities by walking every
 (vertex subset, edge count) pair, tree isomorphism classes by
 generating every labelled tree and deduplicating with a backtracking
-isomorphism test.  None of it shares code paths with the package
-algorithms it validates.
+isomorphism test, arrowing by testing every prefix of a colouring
+search with ``naive_copy``.  None of it shares code paths with the
+package algorithms it validates.
 """
 
 from __future__ import annotations
@@ -209,3 +210,58 @@ def random_canonical_colouring(rng: random.Random, g: Graph):
         values.append(c)
         blocks = max(blocks, c + 1)
     return Colouring.from_values(g, values)
+
+
+def _growth_strings(blocks: int, remaining: int) -> int:
+    """Restricted-growth completions of a prefix, counted one by one."""
+    if remaining == 0:
+        return 1
+    return sum(_growth_strings(max(blocks, c + 1), remaining - 1) for c in range(blocks + 1))
+
+
+def reference_arrows(g: Graph, h1: Graph, h2: Graph) -> tuple[bool, int, tuple[int, ...] | None]:
+    """(verdict, colourings examined, counterexample colours) of G -> (H1, H2).
+
+    Mirrors the contract of ``ramsey_lab.arrows.arrows``: a pattern that
+    does not embed at all gives the one-colouring certificates; otherwise
+    restricted-growth strings are searched in lexicographic order, every
+    prefix is tested with ``naive_copy`` and a prefix holding a pattern
+    counts all its completions as examined.
+    """
+    m = g.e
+    if not naive_copy(g, None, h1, "plain"):
+        if h2.e >= 2 or not naive_copy(g, None, h2, "plain"):
+            return False, 1, (0,) * m
+        return True, 0, None
+    if not naive_copy(g, None, h2, "plain"):
+        if h1.e >= 2:
+            return False, 1, tuple(range(m))
+        return True, 0, None
+
+    edges = sorted(g.edges)
+    values: list[int] = []
+    examined = 0
+
+    def holds_pattern() -> bool:
+        prefix = Graph(g.n, frozenset(edges[: len(values)]))
+        chi = dict(zip(edges, values))
+        return naive_copy(prefix, chi, h1, "mono") or naive_copy(prefix, chi, h2, "rainbow")
+
+    def search(blocks: int) -> tuple[int, ...] | None:
+        nonlocal examined
+        if holds_pattern():
+            examined += _growth_strings(blocks, m - len(values))
+            return None
+        if len(values) == m:
+            examined += 1
+            return tuple(values)
+        for c in range(blocks + 1):
+            values.append(c)
+            found = search(max(blocks, c + 1))
+            values.pop()
+            if found is not None:
+                return found
+        return None
+
+    found = search(0)
+    return found is None, examined, found

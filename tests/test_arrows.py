@@ -3,6 +3,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ramsey_lab.arrows import (
     ColourDegreeParams,
@@ -26,7 +28,19 @@ from ramsey_lab.graphs import (
     star,
 )
 
-from oracles import naive_copy
+from oracles import naive_copy, reference_arrows
+
+
+def bell_triangle(m: int) -> int:
+    """Bell(m) from the Bell triangle: each row starts with the last
+    entry of the row above, and each entry adds its upper neighbour."""
+    row = [1]
+    for _ in range(m):
+        nxt = [row[-1]]
+        for x in row:
+            nxt.append(nxt[-1] + x)
+        row = nxt
+    return row[0]
 
 
 def test_enumerate_colourings_bell_counts():
@@ -35,6 +49,18 @@ def test_enumerate_colourings_bell_counts():
         seen = list(enumerate_colourings(host))
         assert len(seen) == expected == bell_number(k)
         assert len(set(seen)) == expected
+
+
+def test_bell_number_is_iterative():
+    assert [bell_number(k) for k in range(8)] == [bell_triangle(k) for k in range(8)]
+    assert bell_number(1200) == bell_triangle(1200)
+
+
+def test_unbudgeted_search_accounts_beyond_recursion_depth():
+    # two prunes at the second edge of K50 account for all 1225-edge colourings
+    verdict = arrows(complete_graph(50), star(2), star(2), edge_budget=None)
+    assert verdict.arrows
+    assert verdict.colourings_examined == bell_triangle(1225)
 
 
 def test_enumeration_is_canonical():
@@ -244,3 +270,33 @@ def test_colour_degree_param_validation():
         ColourDegreeParams(Fraction(0), 2, star(2))
     with pytest.raises(DomainError):
         ColourDegreeParams(Fraction(1), 1, star(2))
+
+
+REFERENCE_PATTERNS = [
+    matching(2),
+    matching(3),
+    parse_graph("K1,2+K1,2"),
+    parse_graph("K1,2+K2"),
+    parse_graph("K2"),
+    star(2),
+    path(3),
+    parse_graph("K3"),
+] + [Graph.of(k) for k in (0, 2, 4, 7)]
+
+
+@st.composite
+def small_hosts(draw) -> Graph:
+    n = draw(st.integers(1, 6))
+    pairs = list(itertools.combinations(range(n), 2))
+    size = draw(st.integers(0, min(7, len(pairs))))
+    return Graph.of(n, draw(st.permutations(pairs))[:size])
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(small_hosts(), st.sampled_from(REFERENCE_PATTERNS), st.sampled_from(REFERENCE_PATTERNS))
+def test_arrows_matches_prefix_reference(g, h1, h2):
+    """Verdict, examined count and counterexample equal those of a search
+    that tests every prefix with the brute-force oracle."""
+    verdict = arrows(g, h1, h2)
+    cx = verdict.counterexample.colours if verdict.counterexample is not None else None
+    assert (verdict.arrows, verdict.colourings_examined, cx) == reference_arrows(g, h1, h2)

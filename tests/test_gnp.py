@@ -1,4 +1,6 @@
+import concurrent.futures
 import math
+import os
 
 import pytest
 
@@ -110,6 +112,38 @@ def test_jobs_do_not_change_results():
     one = arrow_probability(5, 0.4, star(2), star(2), trials=30, seed=23, jobs=1)
     two = arrow_probability(5, 0.4, star(2), star(2), trials=30, seed=23, jobs=2)
     assert one == two
+
+
+def test_jobs_clamped_to_cpu_count(monkeypatch):
+    created = []
+
+    class RecordingPool:
+        """Stands in for the process pool: records its size, runs in-process."""
+
+        def __init__(self, max_workers):
+            created.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items, chunksize=1):
+            return map(fn, items)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    k3 = parse_graph("K3")
+    seq = rows_to_csv(containment_sweep(k3, 14, [0.1, 0.3], 40, seed=17, jobs=1))
+    assert rows_to_csv(containment_sweep(k3, 14, [0.1, 0.3], 40, seed=17, jobs=64)) == seq
+    one = arrow_probability(5, 0.4, star(2), star(2), trials=30, seed=23, jobs=1)
+    assert arrow_probability(5, 0.4, star(2), star(2), trials=30, seed=23, jobs=64) == one
+    assert created == [3, 3]
+    # an unknown processor count is taken as one: no pool at all
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert rows_to_csv(containment_sweep(k3, 14, [0.1, 0.3], 40, seed=17, jobs=64)) == seq
+    assert created == [3, 3]
 
 
 def test_parse_p_grid_forms():
