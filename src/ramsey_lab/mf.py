@@ -186,31 +186,28 @@ def _level_candidates(k: int, copies_cap: int, vertex_budget: int) -> list[Graph
             shapes.append((size, tree_code(t), t))
     shapes.sort(key=lambda s: (s[0], s[1]))
     out: list[tuple[int, tuple[str, ...], Graph]] = []
-
-    def build(i: int, total: int, counts: list[int]):
-        if total > vertex_budget:
-            return
-        if i == len(shapes):
-            if not any(c and shapes[j][0] == k for j, c in enumerate(counts)):
-                return
+    # each stack entry is a multiset of shapes: (next shape index, vertices
+    # used, (shape index, copies) pairs); its extensions add later shapes
+    stack: list[tuple[int, int, tuple[tuple[int, int], ...]]] = [(0, 0, ())]
+    while stack:
+        start, total, chosen = stack.pop()
+        if chosen and shapes[chosen[-1][0]][0] == k:
             forest = Graph.of(0)
             codes = []
-            for j, c in enumerate(counts):
+            for j, c in chosen:
                 for _ in range(c):
                     forest = forest.disjoint_union(shapes[j][2])
                     codes.append(shapes[j][1])
-            if forest.n:
-                out.append((forest.n, tuple(codes), forest))
-            return
-        size = shapes[i][0]
-        for c in range(copies_cap + 1):
-            if total + c * size > vertex_budget:
+            out.append((forest.n, tuple(codes), forest))
+        for j in range(start, len(shapes)):
+            size = shapes[j][0]
+            if total + size > vertex_budget:
                 break
-            counts.append(c)
-            build(i + 1, total + c * size, counts)
-            counts.pop()
+            for c in range(1, copies_cap + 1):
+                if total + c * size > vertex_budget:
+                    break
+                stack.append((j + 1, total + c * size, chosen + ((j, c),)))
 
-    build(0, 0, [])
     out.sort(key=lambda item: (item[0], item[1]))
     return [g for _, _, g in out]
 

@@ -2,11 +2,11 @@
 
 Everything here favours obviousness over speed: copies are found by
 trying every injective vertex map, densities by walking every
-(vertex subset, edge count) pair, tree isomorphism classes by
-generating every labelled tree and deduplicating with a backtracking
-isomorphism test, arrowing by testing every prefix of a colouring
-search with ``naive_copy``.  None of it shares code paths with the
-package algorithms it validates.
+(vertex subset, edge count) pair, per-size edge maxima one subset at a
+time, tree isomorphism classes by generating every labelled tree and
+deduplicating with a backtracking isomorphism test, arrowing by
+testing every prefix of a colouring search with ``naive_copy``.  None
+of it shares code paths with the package algorithms it validates.
 """
 
 from __future__ import annotations
@@ -42,15 +42,17 @@ def naive_copy(host: Graph, chi, pattern: Graph, kind: str) -> bool:
     return False
 
 
-def density_oracle(g: Graph) -> tuple[Fraction, Fraction | None]:
+def density_oracle(g: Graph) -> tuple[Fraction, Fraction]:
     """(max density, max 2-density) over every subgraph.
 
     Ranges over all vertex subsets and, for each, every possible edge
     count up to the induced one, which covers every subgraph since the
-    ratios depend only on the order and size.
+    ratios depend only on the order and size.  The 2-density ranges over
+    subgraphs with at least one edge, with d2(K2) = 1/2, and is 0 on an
+    edgeless graph.
     """
     best_m = Fraction(0)
-    best_m2 = None
+    best_m2 = Fraction(0)
     vertices = range(g.n)
     for r in range(1, g.n + 1):
         for subset in itertools.combinations(vertices, r):
@@ -58,12 +60,32 @@ def density_oracle(g: Graph) -> tuple[Fraction, Fraction | None]:
             induced_e = sum(1 for u, v in g.edges if u in members and v in members)
             for e in range(induced_e + 1):
                 best_m = max(best_m, Fraction(e, r))
-                if r >= 3:
-                    val = Fraction(e - 1, r - 2)
-                    best_m2 = val if best_m2 is None else max(best_m2, val)
-    if g.n <= 2:
-        best_m2 = Fraction(1, 2) if g.e == 1 else Fraction(0)
+                if e >= 1:
+                    best_m2 = max(best_m2, Fraction(e - 1, r - 2) if r > 2 else Fraction(1, 2))
     return best_m, best_m2
+
+
+def max_edges_by_size_oracle(g: Graph) -> list[int]:
+    """best[k] = most edges on k vertices, one vertex subset at a time.
+
+    Walks every non-empty subset and counts its edges by peeling off the
+    lowest vertex, in a Python loop over the subset's bits.
+    """
+    n = g.n
+    adj_mask = [0] * n
+    for u, v in g.edges:
+        adj_mask[u] |= 1 << v
+        adj_mask[v] |= 1 << u
+    best = [0] * (n + 1)
+    for s in range(1, 1 << n):
+        edges = 0
+        rest = s
+        while rest:
+            v = (rest & -rest).bit_length() - 1
+            rest &= rest - 1
+            edges += (adj_mask[v] & rest).bit_count()
+        best[s.bit_count()] = max(best[s.bit_count()], edges)
+    return best
 
 
 def _isomorphic(a: Graph, b: Graph) -> bool:

@@ -3,12 +3,21 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from ramsey_lab.densities import bridge_join, classify, max_2_density, max_density
+from ramsey_lab.densities import (
+    _max_edges_by_size,
+    bridge_join,
+    classify,
+    max_2_density,
+    max_density,
+)
 from ramsey_lab.errors import DomainError
+from ramsey_lab.gnp import sample_gnp
 from ramsey_lab.graphs import Graph, enumerate_trees, matching, parse_graph, path, star
 
-from oracles import density_oracle, random_tree
+from oracles import density_oracle, max_edges_by_size_oracle, random_tree
 
 
 def test_max_density_examples():
@@ -32,6 +41,11 @@ def test_max_2_density_examples():
     # any forest with a component on >= 3 vertices
     for spec in ("P2", "P3", "K1,3", "K1,2+K2", "P4+M2"):
         assert max_2_density(parse_graph(spec)) == 1
+    # the maximum runs over subgraphs with at least one edge
+    for n in range(3, 6):
+        assert max_2_density(Graph.of(n)) == 0
+        assert max_2_density(Graph.of(n, [(0, 1)])) == Fraction(1, 2)
+    assert max_2_density(parse_graph("K3+K1")) == 2
 
 
 def test_densities_against_all_subsets_oracle():
@@ -56,6 +70,44 @@ def test_monotone_under_edge_addition():
         bigger = g.add_edges([pairs[cut]])
         assert max_density(bigger) >= max_density(g)
         assert max_2_density(bigger) >= max_2_density(g)
+
+
+@st.composite
+def small_graphs(draw) -> Graph:
+    """Graphs on 1..9 vertices; low densities leave isolated vertices."""
+    n = draw(st.integers(1, 9))
+    pairs = list(itertools.combinations(range(n), 2))
+    keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    return Graph.of(n, [p for p, k in zip(pairs, keep) if k])
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(small_graphs())
+def test_densities_match_oracle_property(g):
+    assert (max_density(g), max_2_density(g)) == density_oracle(g)
+    assert _max_edges_by_size(g) == max_edges_by_size_oracle(g)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(small_graphs(), st.data())
+def test_densities_monotone_laws(g, data):
+    """m and m2 never drop when a vertex or an edge is added."""
+    m, m2 = max_density(g), max_2_density(g)
+    bigger = Graph.of(g.n + 1, g.edges)
+    assert max_density(bigger) >= m and max_2_density(bigger) >= m2
+    missing = [p for p in itertools.combinations(range(g.n), 2) if p not in g.edges]
+    if missing:
+        bigger = g.add_edges([data.draw(st.sampled_from(missing))])
+        assert max_density(bigger) >= m and max_2_density(bigger) >= m2
+
+
+def test_max_edges_by_size_against_subset_walk():
+    """Both block splits (odd and even n) and Gray-code removals on
+    graphs past the exhaustively checked 7-vertex atlas."""
+    for n in range(10, 17):
+        for trial, p in enumerate((0.2, 0.5, 0.8)):
+            g = sample_gnp(n, p, seed=n, trial=trial)
+            assert _max_edges_by_size(g) == max_edges_by_size_oracle(g), (n, p)
 
 
 def test_forest_density_is_largest_component():

@@ -1,4 +1,5 @@
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -7,6 +8,7 @@ from ramsey_lab.arrows import arrows
 from ramsey_lab.errors import DomainError
 from ramsey_lab.graphs import is_isomorphic, matching, parse_graph, path, star
 from ramsey_lab.mf import (
+    _level_candidates,
     construction_upper_bound,
     describe_forest,
     mf_lower_bound,
@@ -124,6 +126,20 @@ def test_lower_bound_with_tight_level_cap():
     # cherry itself (2-ary tree of height 1), so the upper bound is tight
     assert report.upper == Fraction(2, 3)
     assert report.upper_source == "construction"
+
+
+def test_level_candidates_depth_independent_of_shape_count():
+    """Level 10 has 200 tree shapes on 2..10 vertices; building its
+    candidates must not recurse once per shape."""
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(200)
+    try:
+        candidates = _level_candidates(10, 3, 10)
+    finally:
+        sys.setrecursionlimit(limit)
+    # within a 10-vertex budget the only level-10 forests are the 106 trees
+    assert len(candidates) == 106
+    assert all(g.n == 10 and g.e == 9 and len(g.components) == 1 for g in candidates)
 
 
 def test_certificate_serialises():
