@@ -11,6 +11,7 @@ odd-depth endpoint (killing rainbow three-edge paths).
 from ramsey_lab import (
     AvoidMode,
     avoid_colouring,
+    avoids,
     choose_avoid_mode,
     colour_degree,
     component_mono_colouring,
@@ -38,4 +39,4 @@ big = parse_graph("P2+P2+K2")
 chi = component_mono_colouring(big)
 print("  colours:", chi.colours)
 print("  avoids (K1,3, cherry):",
-      verify_avoiding(big, chi, parse_graph("K1,3"), parse_graph("K1,2"), require_scope=False))
+      avoids(big, chi, parse_graph("K1,3"), parse_graph("K1,2")))

@@ -19,7 +19,6 @@ from .constructions import (
     RainbowForestReport,
     RainbowTreeParams,
     StarArrowTree,
-    Witness,
     avoid_colouring,
     choose_avoid_mode,
     component_mono_colouring,
@@ -32,7 +31,6 @@ from .constructions import (
     spanning_tree_completion,
     star_arrow_tree,
     verify_avoiding,
-    verify_witness,
 )
 from .densities import GraphClass, bridge_join, classify, max_2_density, max_density
 from .errors import (
@@ -55,6 +53,7 @@ from .graphs import (
     Colouring,
     Embedding,
     Graph,
+    avoids,
     colour_degree,
     complete_graph,
     contains,
@@ -69,8 +68,9 @@ from .graphs import (
     star,
     star_forest,
     tree_code,
+    verify_witness,
 )
-from .mf import MfReport, construction_upper_bound, mf_lower_bound, mf_upper_bound
+from .mf import MfReport, construction_upper_bound
 from .threshold import ThresholdExponent, fired_clauses, threshold
 from .tree_labels import (
     OptimalLabelling,

@@ -33,12 +33,12 @@ from .errors import BudgetError, DomainError
 from .graphs import (
     Colouring,
     Graph,
+    avoids,
     colour_degree,
     complete_graph,
     contains,
     edge_orbit_plans,
     find_monochromatic_copy,
-    find_rainbow_copy,
     has_copy_through,
 )
 
@@ -102,10 +102,8 @@ class ArrowVerdict:
 
 
 def _verified_not_arrows(g: Graph, chi: Colouring, h1: Graph, h2: Graph, examined: int) -> ArrowVerdict:
-    if find_monochromatic_copy(g, chi, h1) is not None:
-        raise AssertionError("claimed counterexample contains a monochromatic copy")
-    if find_rainbow_copy(g, chi, h2) is not None:
-        raise AssertionError("claimed counterexample contains a rainbow copy")
+    if not avoids(g, chi, h1, h2):
+        raise AssertionError("claimed counterexample contains a monochromatic or rainbow copy")
     return ArrowVerdict(False, chi, examined)
 
 

@@ -38,8 +38,12 @@ from .trees import RootedTree, complete_ary_tree
 
 def load_graph(spec: str) -> Graph:
     if spec.startswith("@"):
-        with open(spec[1:], "r", encoding="utf-8") as fh:
-            return parse_graph(fh.read())
+        try:
+            with open(spec[1:], "r", encoding="utf-8") as fh:
+                text = fh.read()
+        except (OSError, UnicodeDecodeError) as exc:
+            raise GraphParseError(f"cannot read edge list: {exc}") from exc
+        return parse_graph(text)
     return parse_graph(spec)
 
 

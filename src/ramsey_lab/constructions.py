@@ -1,9 +1,11 @@
 """Explicit colourings and embeddings behind the arrowing results.
 
-Every construction here has a machine-checkable postcondition: avoiding
-colourings are replayed through the copy finders, embedding procedures
-re-verify the returned witness, and guaranteed searches surface an
-assertion violation rather than ever missing silently.
+Every construction here has a machine-checkable postcondition.  Avoiding
+colourings are replayed through the copy finders (``graphs.avoids``).
+Every copy a construction finds is a ``graphs.Embedding`` whose ``kind``
+names its colour constraint, and it is replayed by
+``graphs.verify_witness`` before it is returned.  Guaranteed searches
+surface an assertion violation rather than ever missing silently.
 """
 
 from __future__ import annotations
@@ -16,25 +18,19 @@ from typing import Sequence
 from .errors import ConstructionStall, DomainError
 from .graphs import (
     Colouring,
-    Edge,
     Embedding,
     Graph,
     as_colour_fn,
+    avoids,
     contains,
     find_monochromatic_copy,
-    find_rainbow_copy,
     norm_edge,
     path,
     star_forest,
+    verify_witness,
 )
 from .densities import classify
-from .trees import (
-    DEFAULT_VERTEX_BUDGET,
-    CompleteAryTree,
-    RootedTree,
-    complete_ary_tree,
-    induced_tree_subgraph,
-)
+from .trees import DEFAULT_VERTEX_BUDGET, CompleteAryTree, RootedTree, complete_ary_tree
 
 
 # ---------------------------------------------------------------------------
@@ -100,29 +96,19 @@ def choose_avoid_mode(h2: Graph) -> AvoidMode:
     raise DomainError("a short forest is not defeated by either avoiding mode")
 
 
-def verify_avoiding(
-    f: Graph,
-    chi,
-    h1: Graph,
-    h2: Graph,
-    require_scope: bool = True,
-) -> bool:
+def verify_avoiding(f: Graph, chi, h1: Graph, h2: Graph) -> bool:
     """True iff chi has no monochromatic h1 and no rainbow h2 in f.
 
-    With ``require_scope`` the inputs are held to the avoiding
-    construction's hypotheses: h1 a constellation, h2 a forest with at
-    least three edges that is not short.  Pass False to use the check
-    as a plain replay on other pattern pairs.
+    The inputs are held to the avoiding construction's hypotheses: h1 a
+    constellation, h2 a forest with at least three edges that is not
+    short.  ``graphs.avoids`` is the same replay on any pattern pair.
     """
-    if require_scope:
-        if not classify(h1).is_constellation:
-            raise DomainError("h1 must be a constellation")
-        c2 = classify(h2)
-        if not c2.is_forest or h2.e < 3 or c2.is_short_forest:
-            raise DomainError("h2 must be a non-short forest with >= 3 edges")
-    if find_monochromatic_copy(f, chi, h1) is not None:
-        return False
-    return find_rainbow_copy(f, chi, h2) is None
+    if not classify(h1).is_constellation:
+        raise DomainError("h1 must be a constellation")
+    c2 = classify(h2)
+    if not c2.is_forest or h2.e < 3 or c2.is_short_forest:
+        raise DomainError("h2 must be a non-short forest with >= 3 edges")
+    return avoids(f, chi, h1, h2)
 
 
 def component_mono_colouring(f: Graph) -> Colouring:
@@ -224,13 +210,14 @@ def greedy_rainbow_embed(tree, chi, pattern: RootedTree) -> Embedding | None:
         for (c, w), k in zip(sorted(fresh.items())[: len(kids)], kids):
             mapping[k] = w
             used.add(c)
-    emb = Embedding(pattern.graph, tuple(mapping))
-    _assert_rainbow_image(tree, chi, emb)
+    emb = Embedding(pattern.graph, tuple(mapping), "rainbow")
+    verify_witness(tree, chi, emb)
     return emb
 
 
 def find_monochromatic_star(tree, chi, s: int) -> Embedding | None:
-    """A vertex of the tree with s incident edges of one colour."""
+    """A vertex of the tree with s incident edges of one colour, as a
+    replayed monochromatic copy of the s-edge star."""
     fn = as_colour_fn(chi)
     for v in tree.vertices():
         groups: dict[int, list[int]] = {}
@@ -242,44 +229,14 @@ def find_monochromatic_star(tree, chi, s: int) -> Embedding | None:
         for c in sorted(groups):
             if len(groups[c]) >= s:
                 leaves = sorted(groups[c])[:s]
-                pattern = star_forest([s])
-                return Embedding(pattern, tuple([v] + leaves))
+                emb = Embedding(star_forest([s]), tuple([v] + leaves), "monochromatic")
+                verify_witness(tree, chi, emb)
+                return emb
     return None
 
 
 # ---------------------------------------------------------------------------
 # constellation vs short forest: the height-3 witness search
-
-
-@dataclass(frozen=True)
-class Witness:
-    """A verified monochromatic or rainbow copy inside a host tree."""
-
-    kind: str  # "monochromatic" | "rainbow"
-    pattern: Graph
-    mapping: tuple[int, ...]
-
-    def image_edges(self) -> tuple[Edge, ...]:
-        m = self.mapping
-        return tuple(sorted(norm_edge(m[u], m[v]) for u, v in self.pattern.edges))
-
-
-def verify_witness(tree, chi, witness: Witness) -> None:
-    """Replay a witness through the copy finders on its induced subgraph."""
-    sub, index = induced_tree_subgraph(tree, witness.mapping)
-    fn = as_colour_fn(chi)
-    back = {i: v for v, i in index.items()}
-    local_chi = Colouring.from_function(sub, lambda a, b: fn(*norm_edge(back[a], back[b])))
-    finder = find_monochromatic_copy if witness.kind == "monochromatic" else find_rainbow_copy
-    if finder(sub, local_chi, witness.pattern) is None:
-        raise AssertionError(f"witness failed replay: {witness.kind} copy not found")
-
-
-def _assert_rainbow_image(tree, chi, emb: Embedding) -> None:
-    fn = as_colour_fn(chi)
-    cols = [fn(*norm_edge(emb.mapping[u], emb.mapping[v])) for u, v in emb.pattern.edges]
-    if len(set(cols)) != len(cols):
-        raise AssertionError("greedy embedding produced a non-rainbow image")
 
 
 def constellation_arrow_tree(s: int) -> CompleteAryTree:
@@ -343,7 +300,7 @@ def _collect_stars(tree, fn, pool: Sequence[int], s: int) -> list[tuple[int, int
     raise _ClaimMono(colour, sorted(by_colour[colour])[:s])
 
 
-def _greedy_rainbow_cherries(tree, fn, pool: Sequence[int], s: int) -> Witness | None:
+def _greedy_rainbow_cherries(tree, fn, pool: Sequence[int], s: int) -> Embedding | None:
     """Backtracking greedy for s vertex-disjoint cherries with 2s
     pairwise distinct colours.
 
@@ -390,10 +347,10 @@ def _greedy_rainbow_cherries(tree, fn, pool: Sequence[int], s: int) -> Witness |
     mapping: list[int] = []
     for v, w1, w2 in cherries:
         mapping += [v, w1, w2]
-    return Witness("rainbow", pattern, tuple(mapping))
+    return Embedding(pattern, tuple(mapping), "rainbow")
 
 
-def find_mono_or_rainbow(tree, chi, s: int) -> Witness:
+def find_mono_or_rainbow(tree, chi, s: int) -> Embedding:
     """In a complete (6s^3+7s^2)-ary tree of height 3, locate either a
     monochromatic copy of s disjoint s-edge stars or a rainbow copy of
     s disjoint cherries.
@@ -412,18 +369,18 @@ def find_mono_or_rainbow(tree, chi, s: int) -> Witness:
     fn = as_colour_fn(chi)
     fallback_pool: list[int] = []
 
-    def mono_witness(colour: int, stars: list[tuple[int, list[int]]]) -> Witness:
+    def mono_witness(colour: int, stars: list[tuple[int, list[int]]]) -> Embedding:
         if len(stars) < s:
             raise AssertionError("pigeonhole produced fewer stars than promised")
         pattern = star_forest([s] * s)
         mapping: list[int] = []
         for v, leaves in stars[:s]:
             mapping += [v] + leaves[:s]
-        w = Witness("monochromatic", pattern, tuple(mapping))
+        w = Embedding(pattern, tuple(mapping), "monochromatic")
         verify_witness(tree, chi, w)
         return w
 
-    def claim_path() -> Witness | None:
+    def claim_path() -> Embedding | None:
         try:
             top = _collect_stars(tree, fn, list(tree.child_list(tree.root)), s)
         except _ClaimMono as hit:
@@ -454,7 +411,7 @@ def find_mono_or_rainbow(tree, chi, s: int) -> Witness:
                 raise AssertionError("ran out of fresh star colours one level down")
             mapping += [z_i, v_i, z_leaves[0]]  # cherry centred at z_i
             used.update({colour_i, colour_z})
-        w = Witness("rainbow", star_forest([2] * s), tuple(mapping))
+        w = Embedding(star_forest([2] * s), tuple(mapping), "rainbow")
         verify_witness(tree, chi, w)
         return w
 
@@ -622,14 +579,11 @@ def disjoint_rainbow_trees(
     quota = int(params.c * g.n)
     raw = _extract_rainbow_trees(g, fn, list(range(g.n)), d, h)
     shape = CompleteAryTree(d, h).to_graph()
-    copies = [Embedding(shape, tuple(copy)) for copy in raw]
+    copies = [Embedding(shape, tuple(copy), "rainbow") for copy in raw]
     seen: set[int] = set()
     for emb in copies:
-        fresh = set(emb.mapping)
-        if len(fresh) != len(emb.mapping) or fresh & seen:
+        verify_witness(g, chi, emb)
+        if seen.intersection(emb.mapping):
             raise AssertionError("extracted copies are not vertex-disjoint")
-        seen |= fresh
-        cols = [fn(*norm_edge(emb.mapping[u], emb.mapping[v])) for u, v in shape.edges]
-        if len(set(cols)) != len(cols):
-            raise AssertionError("extracted copy is not rainbow")
+        seen.update(emb.mapping)
     return RainbowForestReport(params, copies, None, quota, q_status)

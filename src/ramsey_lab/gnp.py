@@ -60,14 +60,16 @@ class SweepRow:
     trials: int
     successes: int
     undecided: int
-    estimate: float
-    stderr: float
+    estimate: float | None  # None (an empty CSV field) when no sample was decided
+    stderr: float | None
     seed: int
 
     def csv(self) -> str:
+        est = "" if self.estimate is None else repr(self.estimate)
+        err = "" if self.stderr is None else repr(self.stderr)
         return (
             f"{self.n},{self.p!r},{self.trials},{self.successes},"
-            f"{self.undecided},{self.estimate!r},{self.stderr!r},{self.seed}"
+            f"{self.undecided},{est},{err},{self.seed}"
         )
 
 
@@ -75,9 +77,9 @@ def rows_to_csv(rows: Iterable[SweepRow]) -> str:
     return "\n".join([CSV_HEADER] + [r.csv() for r in rows]) + "\n"
 
 
-def _binomial_stats(successes: int, count: int) -> tuple[float, float]:
+def _binomial_stats(successes: int, count: int) -> tuple[float | None, float | None]:
     if count == 0:
-        return 0.0, 0.0
+        return None, None
     est = successes / count
     return est, math.sqrt(est * (1.0 - est) / count)
 
@@ -156,7 +158,7 @@ def arrow_probability(
 
     Samples with more than ``edge_cap`` edges are counted as undecided
     rather than ever guessed; the estimate averages over the decided
-    samples only.
+    samples only, and is None (with its stderr) when none was decided.
     """
     p = float(p)
     work = [

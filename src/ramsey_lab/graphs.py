@@ -5,7 +5,10 @@ pairs.  Colourings are canonicalised set partitions of the edge set
 (restricted-growth form over a fixed edge order), so two colourings are
 equal exactly when they induce the same partition.  The two copy
 finders locate a monochromatic or a rainbow embedded copy of a pattern
-graph; both use subgraph (not induced) semantics.
+graph; both use subgraph (not induced) semantics.  Every found copy,
+here or in a construction, is one ``Embedding`` record whose ``kind``
+says which colour constraint it meets; ``verify_witness`` replays one
+and ``avoids`` checks that a colouring has neither kind of copy.
 """
 
 from __future__ import annotations
@@ -222,10 +225,15 @@ def as_colour_fn(chi: "ColourLike") -> Callable[[int, int], int]:
 
 @dataclass(frozen=True)
 class Embedding:
-    """Injective map from a pattern graph's vertices into a host's."""
+    """Injective map from a pattern graph's vertices into a host's.
+
+    ``kind`` is "plain", "monochromatic" (all image edges share one
+    colour) or "rainbow" (image edges pairwise distinct in colour).
+    """
 
     pattern: Graph
     mapping: tuple[int, ...]
+    kind: str = "plain"
 
     def image_edges(self) -> tuple[Edge, ...]:
         m = self.mapping
@@ -396,7 +404,8 @@ def find_monochromatic_copy(host: Graph, chi: "ColourLike", pattern: Graph) -> E
     vertices.
     """
     if pattern.e == 0:
-        return find_embedding(host, pattern)
+        m = _search(pattern, host.n, host.adj, None)
+        return Embedding(pattern, m, "monochromatic") if m is not None else None
     fn = as_colour_fn(chi)
     classes: dict[int, list[Edge]] = {}
     order: list[int] = []
@@ -416,17 +425,44 @@ def find_monochromatic_copy(host: Graph, chi: "ColourLike", pattern: Graph) -> E
             adj[v].add(u)
         m = _search(pattern, host.n, adj, None)
         if m is not None:
-            return Embedding(pattern, m)
+            return Embedding(pattern, m, "monochromatic")
     return None
 
 
 def find_rainbow_copy(host: Graph, chi: "ColourLike", pattern: Graph) -> Embedding | None:
     """A copy of ``pattern`` whose image edges have pairwise distinct colours."""
-    if pattern.e == 0:
-        return find_embedding(host, pattern)
-    fn = as_colour_fn(chi)
+    fn = as_colour_fn(chi) if pattern.e else None
     m = _search(pattern, host.n, host.adj, fn)
-    return Embedding(pattern, m) if m is not None else None
+    return Embedding(pattern, m, "rainbow") if m is not None else None
+
+
+def avoids(host: Graph, chi: "ColourLike", h1: Graph, h2: Graph) -> bool:
+    """True iff chi has no monochromatic h1 and no rainbow h2 in host."""
+    return find_monochromatic_copy(host, chi, h1) is None and find_rainbow_copy(host, chi, h2) is None
+
+
+def verify_witness(host, chi: "ColourLike", emb: Embedding) -> None:
+    """Replay a found copy against the host and colouring.
+
+    The mapping must be injective and every image edge must pass
+    ``host.has_edge`` (a ``Graph`` or a rooted tree, explicit or lazy);
+    a monochromatic copy needs one colour on its image edges, a rainbow
+    copy pairwise distinct ones.  Raises AssertionError otherwise.
+    """
+    if len(set(emb.mapping)) != len(emb.mapping):
+        raise AssertionError(f"{emb.kind} copy maps two pattern vertices to one host vertex")
+    image = emb.image_edges()
+    if not all(host.has_edge(a, b) for a, b in image):
+        raise AssertionError(f"{emb.kind} copy uses a pair that is not a host edge")
+    if emb.kind == "plain":
+        return
+    fn = as_colour_fn(chi)
+    colours = [fn(a, b) for a, b in image]
+    distinct = len(set(colours))
+    if emb.kind == "monochromatic" and distinct > 1:
+        raise AssertionError("monochromatic copy uses more than one colour")
+    if emb.kind == "rainbow" and distinct != len(colours):
+        raise AssertionError("rainbow copy repeats a colour")
 
 
 def colour_degree(host: Graph, chi: "ColourLike", v: int, into: Iterable[int]) -> int:
@@ -597,12 +633,23 @@ def _level_sequence_to_graph(seq: list[int]) -> Graph:
 
 
 def rooted_code(g: Graph, root: int) -> str:
-    """AHU-style parenthesis code of a tree rooted at ``root``."""
-    def code(v: int, parent: int) -> str:
-        subs = sorted(code(w, v) for w in g.adj[v] if w != parent)
-        return "(" + "".join(subs) + ")"
+    """AHU-style parenthesis code of a tree rooted at ``root``: a vertex's
+    code wraps its children's codes, sorted, in one pair of parentheses.
 
-    return code(root, -1)
+    Children are coded before their parent by walking a breadth-first
+    order backwards, so no recursion depth grows with the tree.
+    """
+    parent = {root: -1}
+    order = [root]
+    for v in order:
+        for w in g.adj[v]:
+            if w != parent[v]:
+                parent[w] = v
+                order.append(w)
+    subs: dict[int, list[str]] = {v: [] for v in order}
+    for v in reversed(order[1:]):
+        subs[parent[v]].append("(" + "".join(sorted(subs.pop(v))) + ")")
+    return "(" + "".join(sorted(subs[root])) + ")"
 
 
 def tree_code(g: Graph) -> str:

@@ -25,14 +25,7 @@ from .constructions import (
 )
 from .densities import classify, max_density
 from .errors import DomainError
-from .graphs import (
-    Colouring,
-    Graph,
-    enumerate_trees,
-    find_monochromatic_copy,
-    find_rainbow_copy,
-    tree_code,
-)
+from .graphs import Colouring, Graph, avoids, enumerate_trees, tree_code
 
 DEFAULT_VERTEX_BUDGET = 12
 DEFAULT_COPIES_CAP = 3
@@ -168,10 +161,7 @@ def _cheap_refutation(f: Graph, h1: Graph, h2: Graph) -> str | None:
         ("component-monochromatic", component_mono_colouring(f)),
     ]
     for name, chi in schemes:
-        if (
-            find_monochromatic_copy(f, chi, h1) is None
-            and find_rainbow_copy(f, chi, h2) is None
-        ):
+        if avoids(f, chi, h1, h2):
             return name
     return None
 
@@ -357,28 +347,3 @@ def construction_upper_bound(
     lazy = constellation_arrow_tree(s)
     desc = f"complete {lazy.d}-ary tree of height 3"
     return Fraction(lazy.n - 1, lazy.n), False, desc
-
-
-def mf_upper_bound(
-    h1: Graph, h2: Graph, vertex_budget: int = DEFAULT_VERTEX_BUDGET, **kw
-) -> tuple[Fraction, Graph | None]:
-    """Best verified arrowing-forest density within the budget."""
-    report = solve(h1, h2, vertex_budget=vertex_budget, **kw)
-    return report.upper, report.upper_witness
-
-
-def mf_lower_bound(
-    h1: Graph,
-    h2: Graph,
-    k_max: int = DEFAULT_VERTEX_BUDGET,
-    copies_cap: int = DEFAULT_COPIES_CAP,
-    **kw,
-) -> tuple[Fraction, MfReport]:
-    """Largest refuted-level density, with the full certificate.
-
-    Exhausted levels are sound only up to the multiplicity cap; the
-    certificate records which levels were settled by a global avoiding
-    scheme and which only by bounded enumeration.
-    """
-    report = solve(h1, h2, k_max=k_max, copies_cap=copies_cap, **kw)
-    return report.lower, report

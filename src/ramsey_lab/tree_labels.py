@@ -16,16 +16,9 @@ from dataclasses import dataclass
 from typing import Callable
 
 from .errors import BudgetError, DomainError
-from .graphs import (
-    Edge,
-    Graph,
-    as_colour_fn,
-    norm_edge,
-    rooted_code,
-    star,
-)
+from .graphs import Edge, Embedding, Graph, norm_edge, rooted_code
 from .trees import LayeredTree, RootedTree
-from .constructions import Witness, verify_witness
+from .constructions import find_monochromatic_star, greedy_rainbow_embed
 
 
 def descendant_counts(tree: RootedTree) -> dict[int, int]:
@@ -88,10 +81,28 @@ def min_max_path_product(h: Graph, edge_budget: int = 10) -> OptimalLabelling:
     Labels range over {1..e(H)}: rank-compressing any injective
     positive labelling into that set never increases a path product.
     Zero-length paths are excluded, so a root that is itself a leaf
-    only competes through its genuine paths.  Exact branch-and-bound:
-    edges are filled in breadth-first order from the candidate root and
-    a partial labelling is pruned as soon as some partial path product
-    reaches the incumbent.
+    only competes through its genuine paths.
+    """
+    best = _best_labelling(h, None, edge_budget)
+    assert best is not None
+    return best
+
+
+def path_product_at_least(h: Graph, bound: int, edge_budget: int = 20) -> bool:
+    """Certify min_max_path_product(h) >= bound without computing it:
+    the same branch-and-bound, started with the bound as its incumbent,
+    finds no labelling that beats it."""
+    return _best_labelling(h, bound, edge_budget) is None
+
+
+def _best_labelling(h: Graph, incumbent: int | None, edge_budget: int) -> OptimalLabelling | None:
+    """The optimal labelling whose worst path product is below
+    ``incumbent`` (None for no bound), or None when there is none.
+
+    Exact branch-and-bound: edges are filled in breadth-first order
+    from each candidate root (one root per rooted isomorphism class)
+    and a partial labelling is pruned as soon as some partial path
+    product reaches the incumbent.
     """
     if h.n == 0 or not h.is_forest or len(h.components) != 1:
         raise DomainError("path-product labelling is defined on trees")
@@ -103,11 +114,9 @@ def min_max_path_product(h: Graph, edge_budget: int = 10) -> OptimalLabelling:
             f"{m} edges exceeds the labelling budget of {edge_budget};"
             " raise edge_budget for an exact (but factorial) search"
         )
-
     leaves = {v for v in range(h.n) if h.degree(v) == 1}
-    best_value = None
-    best_root = None
-    best_labels: dict[Edge, int] | None = None
+    best_value = incumbent
+    best: OptimalLabelling | None = None
     seen_codes: set[str] = set()
 
     for root in range(h.n):
@@ -125,14 +134,12 @@ def min_max_path_product(h: Graph, edge_budget: int = 10) -> OptimalLabelling:
         used = [False] * (m + 1)
 
         def fill(i: int, cur_max: int):
-            nonlocal best_value, best_root, best_labels
+            nonlocal best_value, best
             if best_value is not None and cur_max >= best_value:
                 return
             if i == m:
-                if best_value is None or cur_max < best_value:
-                    best_value = cur_max
-                    best_root = root
-                    best_labels = dict(assignment)
+                best_value = cur_max
+                best = OptimalLabelling(cur_max, root, dict(assignment))
                 return
             e, v = edges[i], child_of[i]
             for lab in range(1, m + 1):
@@ -151,57 +158,7 @@ def min_max_path_product(h: Graph, edge_budget: int = 10) -> OptimalLabelling:
 
         fill(0, 1)
 
-    assert best_value is not None and best_labels is not None
-    return OptimalLabelling(best_value, best_root, best_labels)
-
-
-def path_product_at_least(h: Graph, bound: int, edge_budget: int = 20) -> bool:
-    """Certify min_max_path_product(h) >= bound without computing it.
-
-    Runs the same branch-and-bound with the incumbent pinned at the
-    bound; the certificate holds iff no labelling beats it.
-    """
-    if h.n == 0 or not h.is_forest or len(h.components) != 1 or h.e == 0:
-        raise DomainError("bound check is defined on trees with an edge")
-    m = h.e
-    if m > edge_budget:
-        raise BudgetError(f"{m} edges exceeds the budget of {edge_budget}")
-    leaves = {v for v in range(h.n) if h.degree(v) == 1}
-    seen_codes: set[str] = set()
-    for root in range(h.n):
-        code = rooted_code(h, root)
-        if code in seen_codes:
-            continue
-        seen_codes.add(code)
-        tree = RootedTree.from_graph(h, root)
-        order = sorted(range(h.n), key=lambda v: (tree.depth_of(v), v))
-        child_of = [v for v in order if v != root]
-        prod = {root: 1}
-        used = [False] * (m + 1)
-
-        def beats(i: int) -> bool:
-            if i == m:
-                return True
-            v = child_of[i]
-            for lab in range(1, m + 1):
-                if used[lab]:
-                    continue
-                p = prod[tree.parent_of(v)] * lab
-                if p >= bound:
-                    continue
-                used[lab] = True
-                prod[v] = p
-                if beats(i + 1):
-                    used[lab] = False
-                    del prod[v]
-                    return True
-                used[lab] = False
-                del prod[v]
-            return False
-
-        if beats(0):
-            return False
-    return True
+    return best
 
 
 # ---------------------------------------------------------------------------
@@ -220,60 +177,22 @@ def rainbow_binary_host(h: int) -> LayeredTree:
     return LayeredTree(tuple(2 ** (i + 3) for i in range(h)))
 
 
-def embed_rainbow_binary(host, chi, h: int) -> Witness:
+def embed_rainbow_binary(host, chi, h: int) -> Embedding:
     """A rainbow complete binary tree of height h inside the host.
 
-    Proceeds level by level from the root, always extending along
-    fresh-coloured child edges; every depth-i host vertex offers at
-    least 2^(i+2) colours when no three incident edges share one.  If
-    the colouring does contain a monochromatic three-edge star, that
-    witness is returned instead.
+    The greedy rainbow embedding proceeds level by level from the root,
+    always extending along fresh-coloured child edges; every depth-i
+    host vertex offers at least 2^(i+2) colours when no three incident
+    edges share one.  If the greedy stalls, the colouring contains a
+    monochromatic three-edge star, and that witness is returned instead.
     """
     if host.height < h:
         raise DomainError("host is shorter than the requested binary tree")
-    fn = as_colour_fn(chi)
-    binary = LayeredTree((2,) * h)
-    mapping = [-1] * binary.n
-    mapping[0] = host.root
-    used: set[int] = set()
-    for v in range(binary.n):
-        kids = binary.child_list(v)
-        if not kids:
-            continue
-        w = mapping[v]
-        fresh: dict[int, int] = {}
-        for c_host in host.child_list(w):
-            c = fn(*norm_edge(w, c_host))
-            if c not in used and c not in fresh:
-                fresh[c] = c_host
-        if len(fresh) < len(kids):
-            mono = _find_mono_cherry_star(host, fn)
-            if mono is None:
-                raise AssertionError(
-                    "embedding stalled although the host has no monochromatic"
-                    " three-edge star"
-                )
-            verify_witness(host, chi, mono)
-            return mono
-        for (c, c_host), k in zip(sorted(fresh.items())[: len(kids)], kids):
-            mapping[k] = c_host
-            used.add(c)
-    witness = Witness("rainbow", binary.to_graph(), tuple(mapping))
-    verify_witness(host, chi, witness)
-    return witness
-
-
-def _find_mono_cherry_star(host, fn) -> Witness | None:
-    """Scan the host for a vertex with three equal-coloured incident edges."""
-    for v in host.vertices():
-        groups: dict[int, list[int]] = {}
-        p = host.parent_of(v)
-        if p >= 0:
-            groups.setdefault(fn(*norm_edge(p, v)), []).append(p)
-        if not host.is_leaf(v):
-            for w in host.child_list(v):
-                groups.setdefault(fn(*norm_edge(v, w)), []).append(w)
-        for c, members in sorted(groups.items()):
-            if len(members) >= 3:
-                return Witness("monochromatic", star(3), tuple([v] + sorted(members)[:3]))
-    return None
+    emb = greedy_rainbow_embed(host, chi, LayeredTree((2,) * h).to_rooted())
+    if emb is None:
+        emb = find_monochromatic_star(host, chi, 3)
+    if emb is None:
+        raise AssertionError(
+            "embedding stalled although the host has no monochromatic three-edge star"
+        )
+    return emb

@@ -5,7 +5,8 @@ children, the geometric-arity hosts) are navigated arithmetically from
 the level-order numbering; children are never materialised unless a
 conversion to an explicit graph is requested, which is budget-guarded.
 All tree classes share the same navigation surface: ``n``, ``root``,
-``height``, ``parent``, ``children``, ``depth``, ``is_leaf``.
+``height``, ``parent``, ``children``, ``depth``, ``is_leaf``,
+``has_edge``.
 """
 
 from __future__ import annotations
@@ -70,6 +71,9 @@ class RootedTree:
 
     def is_leaf(self, v: int) -> bool:
         return not self.children[v]
+
+    def has_edge(self, u: int, v: int) -> bool:
+        return self.graph.has_edge(u, v)
 
     def vertices(self) -> range:
         return range(self.n)
@@ -136,6 +140,11 @@ class LayeredTree:
         pos = v - self.level_offsets[i]
         return self.level_offsets[i - 1] + pos // self.widths[i - 1]
 
+    def has_edge(self, u: int, v: int) -> bool:
+        # level order numbers every parent below its children
+        u, v = norm_edge(u, v)
+        return 0 <= u and v < self.n and self.parent_of(v) == u
+
     def vertices(self) -> range:
         return range(self.n)
 
@@ -181,20 +190,3 @@ def complete_ary_tree(d: int, h: int, vertex_budget: int | None = DEFAULT_VERTEX
             f" above the budget of {vertex_budget}"
         )
     return lazy.to_rooted(vertex_budget)
-
-
-def induced_tree_subgraph(tree, vertices) -> tuple[Graph, dict[int, int]]:
-    """Induced subgraph of a (possibly lazy) tree on the given vertices.
-
-    Returns the relabelled graph and the tree-vertex -> local-index map.
-    Adjacency in a tree is the parent relation, so no edge scan is
-    needed.
-    """
-    vs = sorted(set(vertices))
-    index = {v: i for i, v in enumerate(vs)}
-    pairs = []
-    for v in vs:
-        p = tree.parent_of(v)
-        if p >= 0 and p in index:
-            pairs.append((index[p], index[v]))
-    return Graph.of(len(vs), pairs), index

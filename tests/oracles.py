@@ -88,6 +88,16 @@ def max_edges_by_size_oracle(g: Graph) -> list[int]:
     return best
 
 
+def rooted_code_oracle(g: Graph, root: int) -> str:
+    """The AHU parenthesis code of a rooted tree, by plain recursion:
+    a vertex's code wraps its children's sorted codes in parentheses."""
+    def code(v: int, parent: int) -> str:
+        subs = sorted(code(w, v) for w in g.adj[v] if w != parent)
+        return "(" + "".join(subs) + ")"
+
+    return code(root, -1)
+
+
 def _isomorphic(a: Graph, b: Graph) -> bool:
     if a.n != b.n or a.e != b.e:
         return False

@@ -131,3 +131,21 @@ def test_jobs_default_from_environment(monkeypatch, capsys):
     monkeypatch.delenv("RAMSEY_LAB_JOBS")
     code, out_one, _ = run(capsys, *argv)
     assert out_env == out_one  # worker count never changes the rows
+
+
+def test_unreadable_edge_list_file_is_a_parse_error(capsys, tmp_path):
+    binary = tmp_path / "binary.edges"
+    binary.write_bytes(b"\xff\xfe\x00")
+    for target in (tmp_path / "missing.edges", tmp_path, binary):
+        code, out, err = run(capsys, "density", f"@{target}")
+        assert code == 2 and out == ""
+        assert err.startswith("parse error: cannot read edge list")
+
+
+def test_all_undecided_sweep_row_leaves_estimate_empty(capsys):
+    code, out, _ = run(
+        capsys, "sweep", "--mode", "arrow", "--h1", "K1,2", "--h2", "P3",
+        "--n", "30", "--p-grid", "0.9", "--trials", "5",
+    )
+    assert code == 0
+    assert out.splitlines()[1] == "30,0.9,5,0,5,,,0"

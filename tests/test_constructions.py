@@ -23,6 +23,7 @@ from ramsey_lab.constructions import (
 from ramsey_lab.errors import ConstructionStall, DomainError
 from ramsey_lab.graphs import (
     Colouring,
+    avoids,
     colour_degree,
     complete_graph,
     find_rainbow_copy,
@@ -119,7 +120,7 @@ def test_component_mono_colouring():
         if any(len(c) >= h1.n for c in f.components):
             continue
         chi = component_mono_colouring(f)
-        assert verify_avoiding(f, chi, h1, star(2), require_scope=False)
+        assert avoids(f, chi, h1, star(2))
 
 
 def test_spanning_tree_completion():
@@ -199,9 +200,9 @@ def lazy_descendant_colouring_tree(tree: RootedTree):
 
 
 def _star_witness(emb, s):
-    from ramsey_lab.constructions import Witness
+    from ramsey_lab.graphs import Embedding
 
-    return Witness("monochromatic", star_forest([s]), emb.mapping)
+    return Embedding(star_forest([s]), emb.mapping, "monochromatic")
 
 
 def test_complete_ary_tree_shapes_and_budget():

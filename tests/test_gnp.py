@@ -14,7 +14,7 @@ from ramsey_lab.gnp import (
     rows_to_csv,
     sample_gnp,
 )
-from ramsey_lab.graphs import matching, parse_graph, star
+from ramsey_lab.graphs import matching, parse_graph, path, star
 
 
 def test_extreme_probabilities():
@@ -90,6 +90,15 @@ def test_arrow_estimates_ordered_around_predicted_exponent():
     lo = arrow_probability(n, centre / 10 ** 0.5, star(2), star(2), trials=250, seed=41)
     hi = arrow_probability(n, min(1.0, centre * 10 ** 0.5), star(2), star(2), trials=250, seed=41)
     assert lo.estimate < hi.estimate
+
+
+def test_all_undecided_row_has_no_estimate():
+    row = arrow_probability(30, 0.9, star(2), path(3), trials=5, seed=0)
+    assert row.undecided == 5 and row.successes == 0
+    assert row.estimate is None and row.stderr is None
+    assert row.csv() == "30,0.9,5,0,5,,,0"
+    decided = arrow_probability(6, 0.0, star(2), matching(2), trials=5, seed=0)
+    assert decided.csv() == "6,0.0,5,0,0,0.0,0.0,0"
 
 
 def test_undecided_accounting():

@@ -3,9 +3,11 @@
 Each case runs ``cli.main`` in-process from inside ``tests/golden`` (so
 ``@g16.edges`` resolves there) and must reproduce the recorded stdout
 byte for byte.  ``cases.json`` holds the argv and exit code of each
-case, ``<name>.out`` its stdout.  After a deliberate output change,
-re-record with ``PYTHONPATH=src python tests/test_golden.py --record``
-and say why in the change log.
+case, ``<name>.out`` its stdout.  The demos that replay witnesses
+(``demos/03``-``06``) run in-process with ``runpy`` and must reproduce
+``demo_<stem>.out``.  After a deliberate output change, re-record with
+``PYTHONPATH=src python tests/test_golden.py --record`` and say why in
+the change log.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ import contextlib
 import io
 import json
 import os
+import runpy
 import sys
 from pathlib import Path
 
@@ -22,6 +25,7 @@ import pytest
 from ramsey_lab.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
+DEMOS = Path(__file__).parent.parent / "demos"
 
 CASES = {
     "density_m2_K3": ["density", "--m2", "K3"],
@@ -41,7 +45,18 @@ CASES = {
         "--trials", "300", "--seed", "2024",
     ],
     "density_g16": ["density", "@g16.edges"],
+    "sweep_arrow_cherry_P3": [
+        "sweep", "--mode", "arrow", "--h1", "K1,2", "--h2", "P3", "--n", "7",
+        "--p-grid", "0.3,0.5,0.7", "--trials", "20", "--seed", "1",
+    ],
 }
+
+DEMO_STEMS = [
+    "03_avoiding_colourings",
+    "04_arrowing_trees",
+    "05_forest_density_and_thresholds",
+    "06_descendant_colourings",
+]
 
 
 def _run(argv: list[str]) -> tuple[int, str]:
@@ -54,6 +69,13 @@ def _run(argv: list[str]) -> tuple[int, str]:
     finally:
         os.chdir(cwd)
     return code, out.getvalue()
+
+
+def _run_demo(stem: str) -> str:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        runpy.run_path(str(DEMOS / f"{stem}.py"), run_name="__main__")
+    return out.getvalue()
 
 
 def _recorded() -> dict:
@@ -72,6 +94,11 @@ def test_golden_stdout(name, monkeypatch):
     assert out == (GOLDEN / f"{name}.out").read_text(encoding="utf-8")
 
 
+@pytest.mark.parametrize("stem", DEMO_STEMS)
+def test_golden_demo_stdout(stem):
+    assert _run_demo(stem) == (GOLDEN / f"demo_{stem}.out").read_text(encoding="utf-8")
+
+
 def _record() -> None:
     os.environ.pop("RAMSEY_LAB_JOBS", None)
     cases = {}
@@ -80,6 +107,8 @@ def _record() -> None:
         (GOLDEN / f"{name}.out").write_text(out, encoding="utf-8")
         cases[name] = {"argv": argv, "exit": code}
     (GOLDEN / "cases.json").write_text(json.dumps(cases, indent=1) + "\n", encoding="utf-8")
+    for stem in DEMO_STEMS:
+        (GOLDEN / f"demo_{stem}.out").write_text(_run_demo(stem), encoding="utf-8")
 
 
 if __name__ == "__main__":

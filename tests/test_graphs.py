@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -5,21 +6,27 @@ import pytest
 from ramsey_lab.errors import GraphParseError
 from ramsey_lab.graphs import (
     Colouring,
+    Embedding,
     Graph,
+    avoids,
     colour_degree,
     contains,
     enumerate_trees,
+    find_embedding,
     find_monochromatic_copy,
     find_rainbow_copy,
     is_isomorphic,
     matching,
     parse_graph,
     path,
+    rooted_code,
     star,
     tree_code,
+    verify_witness,
 )
+from ramsey_lab.trees import CompleteAryTree, LayeredTree, RootedTree
 
-from oracles import brute_force_trees, naive_copy, random_canonical_colouring
+from oracles import brute_force_trees, naive_copy, random_canonical_colouring, rooted_code_oracle
 
 
 def test_parse_families():
@@ -152,6 +159,20 @@ def test_tree_enumeration_against_brute_force(k):
     assert codes == {tree_code(t) for t in brute}
 
 
+def test_rooted_code_matches_recursive_oracle():
+    for k in range(1, 10):
+        for t in enumerate_trees(k):
+            for root in range(t.n):
+                assert rooted_code(t, root) == rooted_code_oracle(t, root)
+
+
+def test_tree_code_on_long_path_has_no_recursion_limit():
+    # the recursive code needs two frames per level, so a 1501-vertex
+    # path exceeded the default limit of 1000; the least code roots the
+    # path at an end
+    assert tree_code(path(1500)) == "(" * 1501 + ")" * 1501
+
+
 def test_tree_enumeration_deterministic():
     a = [tree_code(t) for t in enumerate_trees(7)]
     b = [tree_code(t) for t in enumerate_trees(7)]
@@ -168,3 +189,63 @@ def test_isolated_pattern_vertices_need_host_room():
 def test_is_isomorphic():
     assert is_isomorphic(parse_graph("P2"), star(2))
     assert not is_isomorphic(path(3), star(3))
+
+
+def test_finders_record_the_kind_of_copy():
+    g = parse_graph("P3")
+    chi = Colouring.rainbow(g)
+    assert find_embedding(g, path(2)).kind == "plain"
+    assert find_monochromatic_copy(g, Colouring.constant(g), path(2)).kind == "monochromatic"
+    assert find_rainbow_copy(g, chi, path(2)).kind == "rainbow"
+    assert find_monochromatic_copy(g, chi, Graph.of(2)).kind == "monochromatic"
+    assert find_rainbow_copy(g, chi, Graph.of(2)).kind == "rainbow"
+
+
+def test_verify_witness_accepts_finder_copies():
+    rng = random.Random(83)
+    for _ in range(40):
+        g = Graph.of(6, [e for e in itertools.combinations(range(6), 2) if rng.random() < 0.6])
+        chi = random_canonical_colouring(rng, g)
+        for pattern in (path(2), star(3), matching(2), path(3)):
+            for emb in (
+                find_embedding(g, pattern),
+                find_monochromatic_copy(g, chi, pattern),
+                find_rainbow_copy(g, chi, pattern),
+            ):
+                if emb is not None:
+                    verify_witness(g, chi, emb)
+
+
+def test_verify_witness_rejects_broken_copies():
+    g = path(3)
+    chi = Colouring.from_values(g, [0, 0, 1])
+    verify_witness(g, chi, Embedding(path(2), (0, 1, 2), "monochromatic"))
+    verify_witness(g, chi, Embedding(path(2), (1, 2, 3), "rainbow"))
+    broken = [
+        Embedding(path(2), (0, 1, 0), "plain"),  # not injective
+        Embedding(path(2), (0, 1, 3), "plain"),  # (1, 3) is not an edge
+        Embedding(path(2), (1, 2, 3), "monochromatic"),  # colours 0 and 1
+        Embedding(path(2), (0, 1, 2), "rainbow"),  # colour 0 twice
+    ]
+    for emb in broken:
+        with pytest.raises(AssertionError):
+            verify_witness(g, chi, emb)
+
+
+def test_tree_has_edge_matches_explicit_graph():
+    for lazy in (CompleteAryTree(3, 2), LayeredTree((2, 3, 1))):
+        g = lazy.to_graph()
+        rooted = RootedTree.from_graph(g, 4)
+        for u in range(-1, g.n + 1):
+            for v in range(-1, g.n + 1):
+                assert lazy.has_edge(u, v) == rooted.has_edge(u, v) == g.has_edge(u, v)
+
+
+def test_avoids_is_both_finders():
+    rng = random.Random(89)
+    for _ in range(40):
+        g = Graph.of(5, [e for e in itertools.combinations(range(5), 2) if rng.random() < 0.5])
+        chi = random_canonical_colouring(rng, g)
+        for h1, h2 in ((path(2), path(2)), (matching(2), path(3)), (star(2), star(3))):
+            expected = not naive_copy(g, chi, h1, "mono") and not naive_copy(g, chi, h2, "rainbow")
+            assert avoids(g, chi, h1, h2) == expected

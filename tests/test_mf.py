@@ -11,8 +11,6 @@ from ramsey_lab.mf import (
     _level_candidates,
     construction_upper_bound,
     describe_forest,
-    mf_lower_bound,
-    mf_upper_bound,
     solve,
     strip_isolated,
 )
@@ -109,18 +107,17 @@ def test_adding_components_preserves_arrowing():
 
 
 def test_upper_and_lower_wrappers():
-    upper, witness = mf_upper_bound(star(2), star(2))
-    assert upper == Fraction(2, 3) and witness is not None
-    lower, report = mf_lower_bound(star(2), star(2))
-    assert lower == Fraction(1, 2)
+    report = solve(star(2), star(2))
+    assert report.upper == Fraction(2, 3) and report.upper_witness is not None
+    assert report.lower == Fraction(1, 2)
     assert report.levels[0].status == "sound"
 
 
 def test_lower_bound_with_tight_level_cap():
     # components of <= 2 vertices contain no cherry, so the refutation
     # is unconditional and the bound stops at 1/2
-    lower, report = mf_lower_bound(star(2), star(2), k_max=2)
-    assert lower == Fraction(1, 2)
+    report = solve(star(2), star(2), k_max=2)
+    assert report.lower == Fraction(1, 2)
     assert report.levels[0].k == 2 and report.levels[0].status == "sound"
     # the capped search falls back to the construction, which here is the
     # cherry itself (2-ary tree of height 1), so the upper bound is tight

@@ -142,6 +142,16 @@ def test_height_three_lower_bound():
     assert path_product_at_least(parse_graph("B3"), 2, edge_budget=14)
 
 
+def test_path_product_at_least_agrees_with_the_optimum():
+    from ramsey_lab.graphs import enumerate_trees
+
+    for k in range(2, 8):
+        for g in enumerate_trees(k):
+            value = min_max_path_product(g).value
+            for bound in (1, value - 1, value, value + 1, 2 * value):
+                assert path_product_at_least(g, bound) == (value >= bound)
+
+
 def test_monotone_under_leaf_addition():
     rng = random.Random(71)
     for _ in range(15):
