@@ -6,11 +6,16 @@ of seed s draws from ``random.Random`` seeded with the digest of
 independent of evaluation order.  Pairs are scanned in a fixed
 lexicographic order, and sweeps reuse one uniform draw per pair across
 the whole probability grid, which couples the samples monotonically:
-raising p only ever adds edges.
+raising p only ever adds edges.  So a containment trial is evaluated
+as a hitting time along that coupled edge order, as in the random
+graph process: its pairs join an empty graph in increasing order of
+their uniforms until the first copy of the pattern appears, and the
+uniform of the edge that completed it decides every grid point at once.
 """
 
 from __future__ import annotations
 
+import bisect
 import concurrent.futures
 import hashlib
 import itertools
@@ -22,8 +27,8 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .arrows import DEFAULT_EDGE_BUDGET, arrows
-from .errors import DomainError
-from .graphs import Graph, contains
+from .errors import DomainError, GraphParseError
+from .graphs import Graph, Plan, edge_orbit_plans, has_copy_through
 
 CSV_HEADER = "n,p,trials,successes,undecided,estimate,stderr,seed"
 
@@ -98,16 +103,43 @@ def _run_trials(trial, work: list, jobs: int) -> list:
     return [trial(w) for w in work]
 
 
-def _containment_trial(args) -> list[bool]:
-    n, pattern_n, pattern_edges, ps, seed, trial = args
-    pattern = Graph.of(pattern_n, pattern_edges)
+def containment_column(
+    n: int, pattern: Graph, plans: tuple[Plan, ...], ps: Sequence[float], seed: int, trial: int
+) -> list[bool]:
+    """Whether trial ``trial`` of G(n, p) contains ``pattern``, for each p in ``ps``.
+
+    The trial runs as a hitting time: its pairs with uniform below
+    max(ps) join an empty graph in increasing order of uniform (ties by
+    pair index), and after each one ``has_copy_through`` asks whether a
+    copy now uses it.  A copy lies in G(n, p) iff the largest uniform on
+    its edges is below p, so if the first edge to complete a copy has
+    uniform tau, the pattern is in G(n, p) exactly when tau < p.
+    ``plans`` are ``edge_orbit_plans(pattern)``.  A pattern without
+    edges, or with more vertices than n, is in every G(n, p) or in none.
+    """
+    if pattern.e == 0 or pattern.n > n:
+        return [pattern.n <= n] * len(ps)
     us = pair_uniforms(n, seed, trial)
-    order = pair_order(n)
-    out = []
-    for p in ps:
-        sample = Graph.of(n, [e for e, u in zip(order, us) if u < p])
-        out.append(contains(sample, pattern))
-    return out
+    top = max(ps, default=0.0)
+    kept = sorted([i for i, u in enumerate(us) if u < top], key=us.__getitem__)
+    # pair i of ``pair_order(n)`` is (a, b): row a, the pairs (a, b > a),
+    # starts at offsets[a]
+    offsets = [a * (2 * n - a - 1) // 2 for a in range(n)]
+    adj: list[set[int]] = [set() for _ in range(n)]
+    tau = math.inf
+    for added, i in enumerate(kept, 1):
+        a = bisect.bisect_right(offsets, i) - 1
+        b = i - offsets[a] + a + 1
+        adj[a].add(b)
+        adj[b].add(a)
+        if added >= pattern.e and has_copy_through(pattern, plans, n, adj, (a, b)):
+            tau = us[i]
+            break
+    return [tau < p for p in ps]
+
+
+def _containment_trial(args) -> list[bool]:
+    return containment_column(*args)
 
 
 def containment_sweep(
@@ -121,10 +153,16 @@ def containment_sweep(
     """Empirical probability that the pattern embeds in G(n,p), per p.
 
     One uniform per pair per trial is shared across the grid, so each
-    trial's indicator column is monotone in p by construction.
+    trial's indicator column is monotone in p by construction; it is
+    computed by ``containment_column`` from one hitting time.
     """
+    if trials < 0:
+        raise DomainError("trial count must be non-negative")
+    if n < 0:
+        raise DomainError("vertex count must be non-negative")
     ps = [float(p) for p in p_grid]
-    work = [(n, pattern.n, tuple(pattern.edges), ps, seed, t) for t in range(trials)]
+    plans = edge_orbit_plans(pattern)
+    work = [(n, pattern, plans, ps, seed, t) for t in range(trials)]
     results = _run_trials(_containment_trial, work, jobs)
     rows = []
     for j, p in enumerate(ps):
@@ -160,6 +198,8 @@ def arrow_probability(
     rather than ever guessed; the estimate averages over the decided
     samples only, and is None (with its stderr) when none was decided.
     """
+    if trials < 0:
+        raise DomainError("trial count must be non-negative")
     p = float(p)
     work = [
         (n, p, (h1.n, tuple(h1.edges)), (h2.n, tuple(h2.edges)), seed, t, edge_cap)
@@ -172,11 +212,24 @@ def arrow_probability(
     return SweepRow(n, p, trials, successes, undecided, est, err, seed)
 
 
+def _grid_number(text: str, term: str) -> float:
+    try:
+        value = Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise GraphParseError("bad probability grid term", token=term) from None
+    try:
+        return float(value)
+    except OverflowError:
+        raise DomainError(f"grid term {term!r} outside [0, 1]") from None
+
+
 def parse_p_grid(spec: str, n: int) -> list[float]:
     """Grid entries are plain probabilities or ``c*n^q`` terms.
 
     The power form probes a conjectured exponent directly, e.g.
-    ``0.5*n^-1.5,1*n^-1.5,2*n^-1.5``.
+    ``0.5*n^-1.5,1*n^-1.5,2*n^-1.5``.  A term that is not a number
+    raises GraphParseError; a value outside [0, 1], or a power term with
+    no value at this n, raises DomainError.
     """
     out = []
     for term in spec.split(","):
@@ -186,10 +239,16 @@ def parse_p_grid(spec: str, n: int) -> list[float]:
         if "n^" in term:
             coeff_part, _, exp_part = term.partition("n^")
             coeff_part = coeff_part.rstrip("*").strip()
-            coeff = float(Fraction(coeff_part)) if coeff_part else 1.0
-            out.append(coeff * float(n) ** float(Fraction(exp_part)))
+            coeff = _grid_number(coeff_part, term) if coeff_part else 1.0
+            exp = _grid_number(exp_part, term)
+            if n < 0:
+                raise DomainError(f"grid term {term!r} needs n >= 0")
+            try:
+                out.append(coeff * float(n) ** exp)
+            except (ZeroDivisionError, OverflowError):
+                raise DomainError(f"grid term {term!r} has no value in [0, 1] at n={n}") from None
         else:
-            out.append(float(Fraction(term)))
+            out.append(_grid_number(term, term))
     if not out:
         raise DomainError("empty probability grid")
     for p in out:

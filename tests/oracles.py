@@ -5,8 +5,10 @@ trying every injective vertex map, densities by walking every
 (vertex subset, edge count) pair, per-size edge maxima one subset at a
 time, tree isomorphism classes by generating every labelled tree and
 deduplicating with a backtracking isomorphism test, arrowing by
-testing every prefix of a colouring search with ``naive_copy``.  None
-of it shares code paths with the package algorithms it validates.
+testing every prefix of a colouring search with ``naive_copy``,
+containment sweeps by a fresh sample and a full copy search per grid
+point.  None of it shares code paths with the package algorithms it
+validates.
 """
 
 from __future__ import annotations
@@ -15,7 +17,8 @@ import itertools
 import random
 from fractions import Fraction
 
-from ramsey_lab.graphs import Graph, norm_edge
+from ramsey_lab.gnp import pair_uniforms
+from ramsey_lab.graphs import Graph, contains, norm_edge
 
 
 def naive_copy(host: Graph, chi, pattern: Graph, kind: str) -> bool:
@@ -297,3 +300,14 @@ def reference_arrows(g: Graph, h1: Graph, h2: Graph) -> tuple[bool, int, tuple[i
 
     found = search(0)
     return found is None, examined, found
+
+
+def containment_column_oracle(n: int, pattern: Graph, grid, seed: int, trial: int) -> list[bool]:
+    """Does trial ``trial`` of G(n, p) contain ``pattern``, for each p in ``grid``?
+
+    One sample per grid point, built from the trial's uniforms in
+    lexicographic pair order, and one full copy search in each.
+    """
+    us = pair_uniforms(n, seed, trial)
+    order = list(itertools.combinations(range(n), 2))
+    return [contains(Graph.of(n, [e for e, u in zip(order, us) if u < p]), pattern) for p in grid]

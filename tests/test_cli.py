@@ -149,3 +149,29 @@ def test_all_undecided_sweep_row_leaves_estimate_empty(capsys):
     )
     assert code == 0
     assert out.splitlines()[1] == "30,0.9,5,0,5,,,0"
+
+
+def test_sweep_bad_grid_is_a_parse_error(capsys):
+    for grid in ("abc", "1/0", "0.5*n^x"):
+        code, out, err = run(
+            capsys, "sweep", "--mode", "containment", "--h", "K3", "--n", "10", "--p-grid", grid,
+        )
+        assert code == 2 and out == ""
+        assert err.startswith("parse error:") and repr(grid) in err
+
+
+def test_sweep_power_grid_at_n_zero_refused(capsys):
+    code, out, err = run(
+        capsys, "sweep", "--mode", "containment", "--h", "K3", "--n", "0", "--p-grid", "1*n^-1",
+    )
+    assert code == 1 and out == ""
+    assert err.startswith("refused:")
+
+
+def test_sweep_negative_trials_refused(capsys):
+    for mode in (["--mode", "containment", "--h", "K3"], ["--mode", "arrow", "--h1", "K3", "--h2", "P3"]):
+        code, out, err = run(
+            capsys, "sweep", *mode, "--n", "10", "--p-grid", "0.5", "--trials", "-3",
+        )
+        assert code == 1 and out == ""
+        assert "trial count must be non-negative" in err

@@ -3,18 +3,22 @@ import math
 import os
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from ramsey_lab.errors import DomainError
+from oracles import containment_column_oracle
+from ramsey_lab.errors import DomainError, GraphParseError
 from ramsey_lab.gnp import (
     CSV_HEADER,
     arrow_probability,
+    containment_column,
     containment_sweep,
     pair_uniforms,
     parse_p_grid,
     rows_to_csv,
     sample_gnp,
 )
-from ramsey_lab.graphs import matching, parse_graph, path, star
+from ramsey_lab.graphs import edge_orbit_plans, matching, parse_graph, path, star
 
 
 def test_extreme_probabilities():
@@ -153,6 +157,79 @@ def test_jobs_clamped_to_cpu_count(monkeypatch):
     monkeypatch.setattr(os, "cpu_count", lambda: None)
     assert rows_to_csv(containment_sweep(k3, 14, [0.1, 0.3], 40, seed=17, jobs=64)) == seq
     assert created == [3, 3]
+
+
+# pattern -> threshold exponent q, so the grid c*n^q straddles the threshold
+SWEEP_PATTERNS = {"K3": -1, "K4": -2 / 3, "P3": -4 / 3, "K1,3": -4 / 3, "M2": -2, "K1,2+K1,2": -3 / 2}
+
+
+@pytest.mark.parametrize("spec", sorted(SWEEP_PATTERNS))
+def test_containment_columns_match_per_p_search(spec):
+    pattern = parse_graph(spec)
+    plans = edge_orbit_plans(pattern)
+    for n in (20, 50, 80):
+        grid = [0.0] + [c * n ** SWEEP_PATTERNS[spec] for c in (0.5, 1.0, 2.0, 4.0)] + [1.0]
+        for seed in (0, 1):
+            columns = []
+            for t in range(8):
+                column = containment_column(n, pattern, plans, grid, seed, t)
+                assert column == containment_column_oracle(n, pattern, grid, seed, t), (n, seed, t)
+                columns.append(column)
+            rows = containment_sweep(pattern, n, grid, 8, seed)
+            assert [r.successes for r in rows] == [sum(c) for c in zip(*columns)]
+
+
+# edgeless, with an isolated vertex, disconnected, and more vertices than any n below
+SMALL_PATTERNS = ["K1+K1", "K1+K1+K1+K1+K1", "K2+K1", "K1,2+K1", "M2", "K3+K2", "K1,2+K1,2", "K4", "P3", "K1,9"]
+grid_values = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(
+    st.integers(0, 9),
+    st.sampled_from(SMALL_PATTERNS),
+    st.lists(grid_values, max_size=6),
+    st.integers(0, 2**16),
+    st.integers(0, 50),
+)
+@example(2, "K1+K1", [0.0, 1.0], 0, 0)  # an edgeless pattern that just fits
+@example(5, "K1+K1+K1+K1+K1", [0.5], 1, 1)
+@example(4, "K4", [1.0, 0.0, 1.0], 2, 3)
+def test_containment_column_property(n, spec, grid, seed, trial):
+    """The hitting-time column equals the per-p search and never turns
+    False as p grows."""
+    pattern = parse_graph(spec)
+    column = containment_column(n, pattern, edge_orbit_plans(pattern), grid, seed, trial)
+    assert column == containment_column_oracle(n, pattern, grid, seed, trial)
+    for p, here in zip(grid, column):
+        for q, there in zip(grid, column):
+            assert not (p <= q and here and not there)
+
+
+def test_containment_sweep_empty_grid():
+    assert containment_sweep(parse_graph("K3"), 10, [], 5, seed=1) == []
+
+
+def test_negative_trials_and_vertex_count_refused():
+    with pytest.raises(DomainError):
+        containment_sweep(parse_graph("K3"), 10, [0.5], -3, seed=0)
+    with pytest.raises(DomainError):
+        containment_sweep(parse_graph("K3"), -1, [0.5], 3, seed=0)
+    with pytest.raises(DomainError):
+        arrow_probability(5, 0.5, star(2), star(2), trials=-1, seed=0)
+
+
+def test_parse_p_grid_errors():
+    for spec in ("abc", "1/0", "0.5*n^x", "n^", "0.5,nan"):
+        with pytest.raises(GraphParseError):
+            parse_p_grid(spec, 10)
+    with pytest.raises(DomainError):
+        parse_p_grid("1*n^-1", 0)  # 0 ** -1 has no value
+    with pytest.raises(DomainError):
+        parse_p_grid("1*n^1000", 200)  # overflows
+    with pytest.raises(DomainError):
+        parse_p_grid("1e400", 10)
+    assert parse_p_grid("1*n^1", 0) == [0.0]
 
 
 def test_parse_p_grid_forms():

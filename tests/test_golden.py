@@ -49,6 +49,21 @@ CASES = {
         "sweep", "--mode", "arrow", "--h1", "K1,2", "--h2", "P3", "--n", "7",
         "--p-grid", "0.3,0.5,0.7", "--trials", "20", "--seed", "1",
     ],
+    # an isolated pattern vertex, an unsorted grid with p = 0, p = 1 and a
+    # repeated point
+    "sweep_containment_cherry_plus_K1": [
+        "sweep", "--mode", "containment", "--h", "K1,2+K1", "--n", "30",
+        "--p-grid", "1,0.5*n^-1,0,2*n^-1,2*n^-1", "--trials", "20", "--seed", "3",
+        "--jobs", "1",
+    ],
+    "sweep_containment_edgeless": [
+        "sweep", "--mode", "containment", "--h", "K1+K1", "--n", "5",
+        "--p-grid", "0,0.5,1", "--trials", "10", "--seed", "1", "--jobs", "1",
+    ],
+    "sweep_containment_K4_in_3": [
+        "sweep", "--mode", "containment", "--h", "K4", "--n", "3",
+        "--p-grid", "0,0.5,1", "--trials", "10", "--seed", "1", "--jobs", "1",
+    ],
 }
 
 DEMO_STEMS = [
