@@ -44,6 +44,7 @@ from .errors import (
 from .gnp import (
     SweepRow,
     arrow_probability,
+    arrow_sweep,
     containment_sweep,
     parse_p_grid,
     rows_to_csv,

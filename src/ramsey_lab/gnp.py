@@ -6,17 +6,22 @@ of seed s draws from ``random.Random`` seeded with the digest of
 independent of evaluation order.  Pairs are scanned in a fixed
 lexicographic order, and sweeps reuse one uniform draw per pair across
 the whole probability grid, which couples the samples monotonically:
-raising p only ever adds edges.  So a containment trial is evaluated
-as a hitting time along that coupled edge order, as in the random
-graph process: its pairs join an empty graph in increasing order of
-their uniforms until the first copy of the pattern appears, and the
-uniform of the edge that completed it decides every grid point at once.
+raising p only ever adds edges.  Each trial of a sweep draws its
+uniforms once and returns one column, an outcome per grid point.  A
+containment trial is evaluated as a hitting time along that coupled
+edge order, as in the random graph process: its pairs join an empty
+graph in increasing order of their uniforms until the first copy of the
+pattern appears, and the uniform of the edge that completed it decides
+every grid point at once.  An arrow trial builds each grid point's
+sample from the same uniforms and decides it with a full ``arrows``
+search.
 """
 
 from __future__ import annotations
 
 import bisect
 import concurrent.futures
+import functools
 import hashlib
 import itertools
 import math
@@ -47,15 +52,18 @@ def pair_uniforms(n: int, seed: int, trial: int) -> list[float]:
     return [rng.random() for _ in range(n * (n - 1) // 2)]
 
 
-def sample_gnp(n: int, p, seed: int, trial: int = 0) -> Graph:
-    """One binomial random graph: each pair kept independently with
-    probability p, driven by the named per-trial stream."""
+def _sample(n: int, us: Sequence[float], p) -> Graph:
+    """The pairs whose uniform in ``us`` lies below p."""
     p = float(p)
     if not 0 <= p <= 1:
         raise DomainError("edge probability must lie in [0, 1]")
-    us = pair_uniforms(n, seed, trial)
-    pairs = [e for e, u in zip(pair_order(n), us) if u < p]
-    return Graph.of(n, pairs)
+    return Graph.of(n, [e for e, u in zip(pair_order(n), us) if u < p])
+
+
+def sample_gnp(n: int, p, seed: int, trial: int = 0) -> Graph:
+    """One binomial random graph: each pair kept independently with
+    probability p, driven by the named per-trial stream."""
+    return _sample(n, pair_uniforms(n, seed, trial), p)
 
 
 @dataclass(frozen=True)
@@ -82,25 +90,34 @@ def rows_to_csv(rows: Iterable[SweepRow]) -> str:
     return "\n".join([CSV_HEADER] + [r.csv() for r in rows]) + "\n"
 
 
-def _binomial_stats(successes: int, count: int) -> tuple[float | None, float | None]:
-    if count == 0:
-        return None, None
-    est = successes / count
-    return est, math.sqrt(est * (1.0 - est) / count)
+def _run_trials(
+    column, n: int, ps: list[float], trials: int, seed: int, jobs: int
+) -> list[SweepRow]:
+    """One sweep: ``column(t)`` for every trial t, tallied into one row per
+    point of ``ps``.
 
-
-def _run_trials(trial, work: list, jobs: int) -> list:
-    """``trial`` applied to every work item, in order.
-
-    ``jobs`` > 1 spreads the items over a process pool of at most
-    ``os.cpu_count()`` workers; more workers than processors would only
-    contend for them.
+    ``column(t)`` gives trial t's outcome at each grid point: True,
+    False, or None for an undecided sample, which counts towards no
+    estimate.  ``jobs`` > 1 spreads the trials over one process pool of
+    at most ``os.cpu_count()`` workers; more workers than processors
+    would only contend for them.
     """
     jobs = min(jobs, os.cpu_count() or 1)
     if jobs > 1:
         with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
-            return list(pool.map(trial, work, chunksize=8))
-    return [trial(w) for w in work]
+            columns = list(pool.map(column, range(trials), chunksize=8))
+    else:
+        columns = [column(t) for t in range(trials)]
+    rows = []
+    for j, p in enumerate(ps):
+        outcomes = [c[j] for c in columns]
+        undecided = outcomes.count(None)
+        successes = outcomes.count(True)
+        decided = trials - undecided
+        est = successes / decided if decided else None
+        err = math.sqrt(est * (1.0 - est) / decided) if decided else None
+        rows.append(SweepRow(n, p, trials, successes, undecided, est, err, seed))
+    return rows
 
 
 def containment_column(
@@ -138,10 +155,6 @@ def containment_column(
     return [tau < p for p in ps]
 
 
-def _containment_trial(args) -> list[bool]:
-    return containment_column(*args)
-
-
 def containment_sweep(
     pattern: Graph,
     n: int,
@@ -161,25 +174,41 @@ def containment_sweep(
     if n < 0:
         raise DomainError("vertex count must be non-negative")
     ps = [float(p) for p in p_grid]
-    plans = edge_orbit_plans(pattern)
-    work = [(n, pattern, plans, ps, seed, t) for t in range(trials)]
-    results = _run_trials(_containment_trial, work, jobs)
-    rows = []
-    for j, p in enumerate(ps):
-        successes = sum(r[j] for r in results)
-        est, err = _binomial_stats(successes, trials)
-        rows.append(SweepRow(n, p, trials, successes, 0, est, err, seed))
-    return rows
+    column = functools.partial(containment_column, n, pattern, edge_orbit_plans(pattern), ps, seed)
+    return _run_trials(column, n, ps, trials, seed, jobs)
 
 
-def _arrow_trial(args) -> bool | None:
-    n, p, h1_spec, h2_spec, seed, trial, edge_cap = args
-    h1 = Graph.of(*h1_spec)
-    h2 = Graph.of(*h2_spec)
-    sample = sample_gnp(n, p, seed, trial)
-    if sample.e > edge_cap:
-        return None
-    return arrows(sample, h1, h2, edge_budget=edge_cap).arrows
+def arrow_column(
+    n: int, h1: Graph, h2: Graph, ps: Sequence[float], seed: int, trial: int, edge_cap: int
+) -> list[bool | None]:
+    """Whether trial ``trial`` of G(n, p) arrows (h1, h2), for each p in ``ps``.
+
+    The trial's uniforms are drawn once; each grid point keeps the pairs
+    below its p and runs ``arrows`` on that sample.  A sample with more
+    than ``edge_cap`` edges is undecided (None), never guessed.
+    """
+    us = pair_uniforms(n, seed, trial)
+    samples = (_sample(n, us, p) for p in ps)
+    return [
+        None if g.e > edge_cap else arrows(g, h1, h2, edge_budget=edge_cap).arrows for g in samples
+    ]
+
+
+def arrow_sweep(
+    h1: Graph, h2: Graph, n: int, p_grid: Sequence[float], trials: int, seed: int,
+    edge_cap: int = DEFAULT_EDGE_BUDGET, jobs: int = 1,
+) -> list[SweepRow]:
+    """Estimated probability that G(n,p) arrows the pair, per p.
+
+    Samples with more than ``edge_cap`` edges are counted as undecided
+    rather than ever guessed; each estimate averages over the decided
+    samples only, and is None (with its stderr) when none was decided.
+    """
+    if trials < 0:
+        raise DomainError("trial count must be non-negative")
+    ps = [float(p) for p in p_grid]
+    column = functools.partial(arrow_column, n, h1, h2, ps, seed, edge_cap=edge_cap)
+    return _run_trials(column, n, ps, trials, seed, jobs)
 
 
 def arrow_probability(
@@ -192,24 +221,8 @@ def arrow_probability(
     edge_cap: int = DEFAULT_EDGE_BUDGET,
     jobs: int = 1,
 ) -> SweepRow:
-    """Estimate the probability that G(n,p) arrows the pair.
-
-    Samples with more than ``edge_cap`` edges are counted as undecided
-    rather than ever guessed; the estimate averages over the decided
-    samples only, and is None (with its stderr) when none was decided.
-    """
-    if trials < 0:
-        raise DomainError("trial count must be non-negative")
-    p = float(p)
-    work = [
-        (n, p, (h1.n, tuple(h1.edges)), (h2.n, tuple(h2.edges)), seed, t, edge_cap)
-        for t in range(trials)
-    ]
-    results = _run_trials(_arrow_trial, work, jobs)
-    undecided = sum(r is None for r in results)
-    successes = sum(bool(r) for r in results if r is not None)
-    est, err = _binomial_stats(successes, trials - undecided)
-    return SweepRow(n, p, trials, successes, undecided, est, err, seed)
+    """``arrow_sweep`` at the single grid point p."""
+    return arrow_sweep(h1, h2, n, [p], trials, seed, edge_cap, jobs)[0]
 
 
 def _grid_number(text: str, term: str) -> float:
@@ -238,7 +251,7 @@ def parse_p_grid(spec: str, n: int) -> list[float]:
             continue
         if "n^" in term:
             coeff_part, _, exp_part = term.partition("n^")
-            coeff_part = coeff_part.rstrip("*").strip()
+            coeff_part = coeff_part.strip().rstrip("*").strip()
             coeff = _grid_number(coeff_part, term) if coeff_part else 1.0
             exp = _grid_number(exp_part, term)
             if n < 0:

@@ -156,14 +156,6 @@ class Colouring:
         return cls(host.sorted_edges, values)
 
     @classmethod
-    def from_map(cls, host: Graph, assignment: Mapping[Edge, int]) -> "Colouring":
-        try:
-            values = [assignment[e] for e in host.sorted_edges]
-        except KeyError as exc:
-            raise DomainError(f"edge {exc.args[0]} is missing a colour") from exc
-        return cls(host.sorted_edges, values)
-
-    @classmethod
     def from_function(cls, host: Graph, fn: Callable[[int, int], int]) -> "Colouring":
         return cls(host.sorted_edges, [fn(u, v) for u, v in host.sorted_edges])
 
@@ -189,9 +181,6 @@ class Colouring:
         for e, c in zip(self.edges, self.colours):
             out[c].append(e)
         return tuple(tuple(cl) for cl in out)
-
-    def as_map(self) -> dict[Edge, int]:
-        return dict(zip(self.edges, self.colours))
 
     def __eq__(self, other):
         return (
@@ -238,9 +227,6 @@ class Embedding:
     def image_edges(self) -> tuple[Edge, ...]:
         m = self.mapping
         return tuple(sorted(norm_edge(m[u], m[v]) for u, v in self.pattern.edges))
-
-    def image_vertices(self) -> tuple[int, ...]:
-        return tuple(sorted(self.mapping))
 
 
 Plan = tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]
@@ -477,16 +463,6 @@ def colour_degree(host: Graph, chi: "ColourLike", v: int, into: Iterable[int]) -
 # ---------------------------------------------------------------------------
 # parsing: family DSL and edge lists
 
-_FAMILY_RE = {
-    "star": re.compile(r"^K1,(\d+)$"),
-    "complete": re.compile(r"^K(\d+)$"),
-    "path": re.compile(r"^P(\d+)$"),
-    "matching": re.compile(r"^M(\d+)$"),
-    "star_forest": re.compile(r"^SF\((\d+(?:,\d+)*)\)$"),
-    "ary_tree": re.compile(r"^T\((\d+),(\d+)\)$"),
-    "binary_tree": re.compile(r"^B(\d+)$"),
-}
-
 DSL_VERTEX_CAP = 1_000_000
 
 
@@ -526,28 +502,24 @@ def ary_tree_graph(d: int, h: int) -> Graph:
     return Graph.of(n, pairs)
 
 
+# family terms as (regex, builder of the matched groups), tried in order:
+# a star K1,s is matched before the complete graphs K(n)
+_FAMILIES = (
+    (re.compile(r"^K1,(\d+)$"), lambda s: star(int(s))),
+    (re.compile(r"^K(\d+)$"), lambda n: complete_graph(int(n))),
+    (re.compile(r"^P(\d+)$"), lambda k: path(int(k))),
+    (re.compile(r"^M(\d+)$"), lambda k: matching(int(k))),
+    (re.compile(r"^SF\((\d+(?:,\d+)*)\)$"), lambda sizes: star_forest(map(int, sizes.split(",")))),
+    (re.compile(r"^T\((\d+),(\d+)\)$"), lambda d, h: ary_tree_graph(int(d), int(h))),
+    (re.compile(r"^B(\d+)$"), lambda h: ary_tree_graph(2, int(h))),
+)
+
+
 def _parse_atom(token: str) -> Graph:
-    m = _FAMILY_RE["star"].match(token)
-    if m:
-        return star(int(m.group(1)))
-    m = _FAMILY_RE["complete"].match(token)
-    if m:
-        return complete_graph(int(m.group(1)))
-    m = _FAMILY_RE["path"].match(token)
-    if m:
-        return path(int(m.group(1)))
-    m = _FAMILY_RE["matching"].match(token)
-    if m:
-        return matching(int(m.group(1)))
-    m = _FAMILY_RE["star_forest"].match(token)
-    if m:
-        return star_forest(int(x) for x in m.group(1).split(","))
-    m = _FAMILY_RE["ary_tree"].match(token)
-    if m:
-        return ary_tree_graph(int(m.group(1)), int(m.group(2)))
-    m = _FAMILY_RE["binary_tree"].match(token)
-    if m:
-        return ary_tree_graph(2, int(m.group(1)))
+    for family, build in _FAMILIES:
+        m = family.match(token)
+        if m:
+            return build(*m.groups())
     raise GraphParseError("unknown graph family", token)
 
 

@@ -208,13 +208,11 @@ def solve(
     vertex_budget: int = DEFAULT_VERTEX_BUDGET,
     copies_cap: int = DEFAULT_COPIES_CAP,
     edge_budget: int | None = DEFAULT_EDGE_BUDGET,
-    k_max: int | None = None,
 ) -> MfReport:
     """Walk component-size levels upward until a verified arrowing
     forest appears or the budget runs out; see the module docstring."""
     _check_scope(h1, h2)
     h1, h2 = strip_isolated(h1), strip_isolated(h2)
-    top = min(vertex_budget, k_max) if k_max is not None else vertex_budget
 
     levels: list[LevelRecord] = []
     witness: Graph | None = None
@@ -222,7 +220,7 @@ def solve(
     all_previous_sound = True
     exact = False
 
-    for k in range(2, top + 1):
+    for k in range(2, vertex_budget + 1):
         reason = _sound_level_reason(h1, h2, k)
         if reason is not None:
             levels.append(LevelRecord(k, "sound", reason))
@@ -298,7 +296,7 @@ def solve(
         return report
 
     bound, verified, desc = construction_upper_bound(h1, h2, edge_budget)
-    levels.append(LevelRecord(top + 1, "incomplete", f"fell back to {desc}"))
+    levels.append(LevelRecord(vertex_budget + 1, "incomplete", f"fell back to {desc}"))
     return MfReport(
         h1,
         h2,

@@ -24,15 +24,6 @@ CASE_MATCHING = "matching-vs-long-forest"
 CASE_M2 = "two-colour-density"
 CASE_FOREST_ARROWING = "arrowing-forest-density"
 
-ALL_CASES = (
-    CASE_TRIVIAL,
-    CASE_FOREST_CHERRY,
-    CASE_APPEARANCE,
-    CASE_MATCHING,
-    CASE_M2,
-    CASE_FOREST_ARROWING,
-)
-
 
 @dataclass(frozen=True)
 class ThresholdExponent:

@@ -13,10 +13,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterator
 
 from .errors import BudgetError, DomainError
-from .graphs import Edge, Graph, norm_edge
+from .graphs import Graph, norm_edge
 
 DEFAULT_VERTEX_BUDGET = 1 << 20
 
@@ -77,14 +76,6 @@ class RootedTree:
 
     def vertices(self) -> range:
         return range(self.n)
-
-    def edges(self) -> Iterator[Edge]:
-        for v in range(self.n):
-            if self.parent[v] >= 0:
-                yield norm_edge(self.parent[v], v)
-
-    def to_graph(self) -> Graph:
-        return self.graph
 
 
 class LayeredTree:
@@ -150,10 +141,6 @@ class LayeredTree:
 
     def leaves(self) -> range:
         return range(self.level_offsets[self.height], self.n)
-
-    def edges(self) -> Iterator[Edge]:
-        for v in range(1, self.n):
-            yield (self.parent_of(v), v)
 
     def to_graph(self, vertex_budget: int | None = DEFAULT_VERTEX_BUDGET) -> Graph:
         if vertex_budget is not None and self.n > vertex_budget:

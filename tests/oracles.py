@@ -6,9 +6,10 @@ trying every injective vertex map, densities by walking every
 time, tree isomorphism classes by generating every labelled tree and
 deduplicating with a backtracking isomorphism test, arrowing by
 testing every prefix of a colouring search with ``naive_copy``,
-containment sweeps by a fresh sample and a full copy search per grid
-point.  None of it shares code paths with the package algorithms it
-validates.
+containment and arrow sweeps by a fresh sample and a full search per
+grid point.  None of it shares code paths with the package algorithms it
+validates (the arrow-sweep oracle checks the sweep's bookkeeping and
+calls ``arrows``, which has its own reference above).
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ import itertools
 import random
 from fractions import Fraction
 
+from ramsey_lab.arrows import arrows
 from ramsey_lab.gnp import pair_uniforms
 from ramsey_lab.graphs import Graph, contains, norm_edge
 
@@ -311,3 +313,19 @@ def containment_column_oracle(n: int, pattern: Graph, grid, seed: int, trial: in
     us = pair_uniforms(n, seed, trial)
     order = list(itertools.combinations(range(n), 2))
     return [contains(Graph.of(n, [e for e, u in zip(order, us) if u < p]), pattern) for p in grid]
+
+
+def arrow_column_oracle(n: int, h1: Graph, h2: Graph, grid, seed: int, trial: int, edge_cap: int) -> list:
+    """Does trial ``trial`` of G(n, p) arrow (h1, h2), for each p in ``grid``?
+
+    One sample per grid point, built as in ``containment_column_oracle``,
+    and one ``arrows`` call on each; None for a sample with more than
+    ``edge_cap`` edges.
+    """
+    us = pair_uniforms(n, seed, trial)
+    order = list(itertools.combinations(range(n), 2))
+    out = []
+    for p in grid:
+        sample = Graph.of(n, [e for e, u in zip(order, us) if u < p])
+        out.append(None if sample.e > edge_cap else arrows(sample, h1, h2, edge_budget=edge_cap).arrows)
+    return out

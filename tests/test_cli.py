@@ -1,4 +1,11 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 from ramsey_lab.cli import main
+
+SRC = Path(__file__).parent.parent / "src"
 
 
 def run(capsys, *argv):
@@ -175,3 +182,35 @@ def test_sweep_negative_trials_refused(capsys):
         )
         assert code == 1 and out == ""
         assert "trial count must be non-negative" in err
+
+
+def test_refusal_lines(capsys):
+    refusals = {
+        ("construct", "--kind", "ary-tree", "--d", "2"): "refused: ary-tree needs --d and --height\n",
+        ("sweep", "--mode", "arrow", "--h1", "K1,2", "--n", "5", "--p-grid", "0.5"):
+            "refused: arrow sweep needs --h1 and --h2\n",
+        ("sweep", "--mode", "containment", "--n", "5", "--p-grid", "0.5"):
+            "refused: containment sweep needs --h\n",
+        ("arrow", "--g", "K4", "--h1", "K3", "--h2", "P3", "--edge-budget", "5"):
+            "refused: 6 edges exceeds the colouring search budget of 5;"
+            " raise edge_budget to force the search\n",
+    }
+    for argv, line in refusals.items():
+        assert run(capsys, *argv) == (1, "", line)
+
+
+def test_closed_pipe_exits_cleanly():
+    """A reader that stops early (``| head -1``) ends the run with exit 0
+    and no traceback; the output is larger than a pipe buffer."""
+    path = [str(SRC)] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "ramsey_lab.cli", "construct", "--kind", "ary-tree",
+         "--d", "2", "--height", "14", "--edges"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    )
+    assert proc.stdout.readline() == b"vertices = 32767\n"
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    assert proc.wait(timeout=60) == 0
+    assert "Traceback" not in err and "Exception ignored" not in err

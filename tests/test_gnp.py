@@ -1,16 +1,20 @@
 import concurrent.futures
 import math
 import os
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracles import containment_column_oracle
+from oracles import arrow_column_oracle, containment_column_oracle
+from ramsey_lab.cli import main
 from ramsey_lab.errors import DomainError, GraphParseError
 from ramsey_lab.gnp import (
     CSV_HEADER,
+    arrow_column,
     arrow_probability,
+    arrow_sweep,
     containment_column,
     containment_sweep,
     pair_uniforms,
@@ -19,6 +23,8 @@ from ramsey_lab.gnp import (
     sample_gnp,
 )
 from ramsey_lab.graphs import edge_orbit_plans, matching, parse_graph, path, star
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def test_extreme_probabilities():
@@ -127,12 +133,12 @@ def test_jobs_do_not_change_results():
     assert one == two
 
 
-def test_jobs_clamped_to_cpu_count(monkeypatch):
+def recording_pool(monkeypatch, cpus: int) -> list[int]:
+    """Replace the process pool by an in-process stand-in and pretend
+    there are ``cpus`` processors; returns the sizes of the pools made."""
     created = []
 
     class RecordingPool:
-        """Stands in for the process pool: records its size, runs in-process."""
-
         def __init__(self, max_workers):
             created.append(max_workers)
 
@@ -146,7 +152,12 @@ def test_jobs_clamped_to_cpu_count(monkeypatch):
             return map(fn, items)
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
-    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    return created
+
+
+def test_jobs_clamped_to_cpu_count(monkeypatch):
+    created = recording_pool(monkeypatch, 3)
     k3 = parse_graph("K3")
     seq = rows_to_csv(containment_sweep(k3, 14, [0.1, 0.3], 40, seed=17, jobs=1))
     assert rows_to_csv(containment_sweep(k3, 14, [0.1, 0.3], 40, seed=17, jobs=64)) == seq
@@ -206,6 +217,43 @@ def test_containment_column_property(n, spec, grid, seed, trial):
             assert not (p <= q and here and not there)
 
 
+def test_arrow_sweep_opens_one_pool(monkeypatch, capsys):
+    """An arrow sweep runs every trial's whole column in one pool, not one
+    pool per grid point, and prints the recorded rows."""
+    created = recording_pool(monkeypatch, 3)
+    code = main([
+        "sweep", "--mode", "arrow", "--h1", "K1,2", "--h2", "P3", "--n", "7",
+        "--p-grid", "0.3,0.5,0.7", "--trials", "20", "--seed", "1", "--jobs", "64",
+    ])
+    assert code == 0 and created == [3]
+    assert capsys.readouterr().out == (GOLDEN / "sweep_arrow_cherry_P3.out").read_text(encoding="utf-8")
+
+
+# (h1, h2, n, grid, edge cap): every grid has p = 0, p = 1 and a repeated
+# point, and every cap is below the edge count of K_n, so p = 1 and some
+# denser points are undecided
+ARROW_SWEEPS = [
+    ("K1,2", "K1,2", 6, [0.0, 0.3, 0.3, 0.6, 1.0], 10),
+    ("K1,2", "P3", 7, [1.0, 0.5, 0.0, 0.5], 8),
+    ("K3", "P3", 9, [0.0, 0.5, 0.2, 0.5, 1.0], 12),
+    ("M2", "K1,2", 8, [0.0, 0.15, 0.15, 1.0], 6),
+]
+
+
+@pytest.mark.parametrize("h1, h2, n, grid, cap", ARROW_SWEEPS)
+def test_arrow_column_matches_per_p_search(h1, h2, n, grid, cap):
+    h1, h2 = parse_graph(h1), parse_graph(h2)
+    for seed in (0, 1):
+        columns = [arrow_column(n, h1, h2, grid, seed, t, cap) for t in range(6)]
+        for t, column in enumerate(columns):
+            assert column == arrow_column_oracle(n, h1, h2, grid, seed, t, cap), (seed, t)
+        rows = arrow_sweep(h1, h2, n, grid, 6, seed, edge_cap=cap)
+        for j, row in enumerate(rows):
+            outcomes = [c[j] for c in columns]
+            assert (row.successes, row.undecided) == (outcomes.count(True), outcomes.count(None))
+        assert any(None in column for column in columns)
+
+
 def test_containment_sweep_empty_grid():
     assert containment_sweep(parse_graph("K3"), 10, [], 5, seed=1) == []
 
@@ -238,3 +286,8 @@ def test_parse_p_grid_forms():
     assert grid[2] == 0.125
     with pytest.raises(DomainError):
         parse_p_grid("2.0", 10)  # outside [0, 1]
+
+
+def test_parse_p_grid_terms_may_contain_spaces():
+    assert parse_p_grid("0.5 * n^-1, 2*n^-1", 100) == parse_p_grid("0.5*n^-1,2*n^-1", 100)
+    assert parse_p_grid(" 0.5 * n^ -1 ", 100) == [0.005]

@@ -64,6 +64,27 @@ CASES = {
         "sweep", "--mode", "containment", "--h", "K4", "--n", "3",
         "--p-grid", "0,0.5,1", "--trials", "10", "--seed", "1", "--jobs", "1",
     ],
+    # one case for every construct kind and colour mode, and the
+    # density/threshold flags the README commands leave out
+    "construct_ary_tree_2_2": ["construct", "--kind", "ary-tree", "--d", "2", "--height", "2", "--edges"],
+    "construct_binary_host_2": ["construct", "--kind", "binary-host", "--height", "2"],
+    "construct_star_arrow_2_P2": ["construct", "--kind", "star-arrow", "--s", "2", "--h2", "P2", "--edges"],
+    "colour_star3_P2_high_degree": ["colour", "--f", "K1,3+P2", "--mode", "high-degree"],
+    "colour_M2_P2_component_mono": ["colour", "--f", "M2+P2", "--mode", "component-mono"],
+    "colour_P3_descendant_root_1": ["colour", "--f", "P3", "--mode", "descendant", "--root", "1"],
+    "density_m_K4": ["density", "--m", "K4"],
+    "threshold_cherry_two_cherries_no_resolve": [
+        "threshold", "--h1", "K1,2", "--h2", "K1,2+K1,2", "--no-resolve",
+    ],
+    # non-default values of the budget options several commands share
+    "mf_cherry_P3_budgets": [
+        "mf", "--h1", "K1,2", "--h2", "P3", "--vertex-budget", "5", "--copies-cap", "1",
+        "--edge-budget", "8",
+    ],
+    "ramsey_number_cherry_P3_budget": [
+        "ramsey-number", "--h1", "K1,2", "--h2", "P3", "--n-max", "6", "--edge-budget", "10",
+    ],
+    "f_of_h_T22_budget": ["f-of-h", "T(2,2)", "--edge-budget", "6"],
 }
 
 DEMO_STEMS = [

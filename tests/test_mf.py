@@ -116,7 +116,7 @@ def test_upper_and_lower_wrappers():
 def test_lower_bound_with_tight_level_cap():
     # components of <= 2 vertices contain no cherry, so the refutation
     # is unconditional and the bound stops at 1/2
-    report = solve(star(2), star(2), k_max=2)
+    report = solve(star(2), star(2), vertex_budget=2)
     assert report.lower == Fraction(1, 2)
     assert report.levels[0].k == 2 and report.levels[0].status == "sound"
     # the capped search falls back to the construction, which here is the
