@@ -20,7 +20,8 @@ rainbow H2 through it.  Asking only that prunes exactly the nodes a
 check of the whole prefix would.  The colour classes, the prefix
 adjacency and the edge colours are kept up to date as edges are
 coloured and uncoloured, and the pinned searches follow vertex orders
-planned once per call (``graphs.edge_orbit_plans``).
+planned once per pattern (``graphs.edge_orbit_plans``, cached by the
+pattern's value).
 """
 
 from __future__ import annotations

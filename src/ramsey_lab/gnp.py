@@ -100,8 +100,13 @@ def _run_trials(
     False, or None for an undecided sample, which counts towards no
     estimate.  ``jobs`` > 1 spreads the trials over one process pool of
     at most ``os.cpu_count()`` workers; more workers than processors
-    would only contend for them.
+    would only contend for them.  A negative trial or vertex count is
+    refused before any trial runs.
     """
+    if trials < 0:
+        raise DomainError("trial count must be non-negative")
+    if n < 0:
+        raise DomainError("vertex count must be non-negative")
     jobs = min(jobs, os.cpu_count() or 1)
     if jobs > 1:
         with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
@@ -169,10 +174,6 @@ def containment_sweep(
     trial's indicator column is monotone in p by construction; it is
     computed by ``containment_column`` from one hitting time.
     """
-    if trials < 0:
-        raise DomainError("trial count must be non-negative")
-    if n < 0:
-        raise DomainError("vertex count must be non-negative")
     ps = [float(p) for p in p_grid]
     column = functools.partial(containment_column, n, pattern, edge_orbit_plans(pattern), ps, seed)
     return _run_trials(column, n, ps, trials, seed, jobs)
@@ -204,8 +205,6 @@ def arrow_sweep(
     rather than ever guessed; each estimate averages over the decided
     samples only, and is None (with its stderr) when none was decided.
     """
-    if trials < 0:
-        raise DomainError("trial count must be non-negative")
     ps = [float(p) for p in p_grid]
     column = functools.partial(arrow_column, n, h1, h2, ps, seed, edge_cap=edge_cap)
     return _run_trials(column, n, ps, trials, seed, jobs)

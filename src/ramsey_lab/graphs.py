@@ -9,13 +9,24 @@ graph; both use subgraph (not induced) semantics.  Every found copy,
 here or in a construction, is one ``Embedding`` record whose ``kind``
 says which colour constraint it meets; ``verify_witness`` replays one
 and ``avoids`` checks that a colouring has neither kind of copy.
+
+All copy finders share one backtracking search, ``_search``.  It runs on
+an explicit stack, so its depth does not grow with the pattern, and it
+skips a host vertex whose usable degree (in the colour class, or in
+the coloured prefix of the anchored check) is below the pattern
+vertex's degree: such a vertex could never extend to a copy, so the
+first copy found is the one the unfiltered search finds.  The search
+plans (``_plan`` and ``edge_orbit_plans``) depend only on the pattern's
+value and are cached by it, never by a host or a verdict.  Trees are
+enumerated from one catalogue per vertex count (``_coded_trees``), which
+keeps each class's canonical code next to its representative.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property, lru_cache
 from typing import Callable, Iterable, Iterator, Mapping
 
 from .errors import DomainError, GraphParseError
@@ -229,17 +240,23 @@ class Embedding:
         return tuple(sorted(norm_edge(m[u], m[v]) for u, v in self.pattern.edges))
 
 
-Plan = tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]
+Plan = tuple[tuple[int, ...], tuple[tuple[int, ...], ...], tuple[int, ...]]
+
+# each plan cache keeps at most this many patterns; a run uses a handful
+PLAN_CACHE_SIZE = 1024
 
 
+@lru_cache(maxsize=PLAN_CACHE_SIZE)
 def _plan(pattern: Graph, pinned: Edge | None = None) -> Plan:
-    """Placement order for ``_search`` and, per position, the pattern
-    neighbours placed before that vertex.
+    """Placement order for ``_search``, and per position the pattern
+    neighbours placed before that vertex and the vertex's degree.
 
     Without ``pinned``, vertices go in decreasing degree order.  A pinned
     oriented edge (x, y) puts x and y first; each later vertex is then the
     one with the most placed neighbours (ties to higher degree, then lower
     id), so the candidates of a connected vertex are one host neighbourhood.
+    A plan depends only on the pattern's value (``Graph`` equality is by
+    n and edges), so plans are cached by that value.
     """
     degree = pattern.degree
     if pinned is None:
@@ -254,7 +271,7 @@ def _plan(pattern: Graph, pinned: Edge | None = None) -> Plan:
             rest.remove(v)
     pos = {v: i for i, v in enumerate(order)}
     placed_nbrs = tuple(tuple(u for u in pattern.adj[v] if pos[u] < pos[v]) for v in order)
-    return tuple(order), placed_nbrs
+    return tuple(order), placed_nbrs, tuple(degree(v) for v in order)
 
 
 def _search(
@@ -276,11 +293,19 @@ def _search(
     deterministic.  ``pin`` = (a, b) places the plan's first two
     vertices, a pattern edge, on the host edge (a, b) before the search
     starts.
+
+    A host vertex with fewer usable neighbours than the pattern vertex
+    has edges cannot take it, so such candidates are skipped before any
+    adjacency test.  The filter only drops candidates that could never
+    extend to a copy, so the first embedding is the one the unfiltered
+    search finds.  The search keeps one candidate iterator per placed
+    position on an explicit stack, so no recursion depth grows with the
+    pattern.
     """
     vp = pattern.n
     if vp > host_n:
         return None
-    order, placed_nbrs = _plan(pattern) if plan is None else plan
+    order, placed_nbrs, need = _plan(pattern) if plan is None else plan
 
     mapping = [-1] * vp
     used_host: set[int] = set()
@@ -288,22 +313,29 @@ def _search(
     start = 0
     if pin is not None:
         a, b = pin
+        if len(host_adj[a]) < need[0] or len(host_adj[b]) < need[1]:
+            return None
         mapping[order[0]], mapping[order[1]] = a, b
         used_host.update(pin)
         if rainbow_colour is not None:
             used_colours.add(rainbow_colour(a, b))
         start = 2
+    if start == vp:
+        return tuple(mapping)
 
-    def extend(i: int) -> bool:
-        if i == vp:
-            return True
-        v = order[i]
+    # per position: the untried candidates, and the colours its vertex added
+    candidates: list = [None] * vp
+    added: list = [()] * vp
+    i = start
+    while True:
         nbrs = placed_nbrs[i]
-        # a placed pattern neighbour confines the candidates to one host
-        # neighbourhood; unconstrained vertices scan everything
-        candidates = sorted(host_adj[mapping[nbrs[0]]]) if nbrs else range(host_n)
-        for w in candidates:
-            if w in used_host:
+        if candidates[i] is None:
+            # a placed pattern neighbour confines the candidates to one host
+            # neighbourhood; unconstrained vertices scan everything
+            candidates[i] = iter(sorted(host_adj[mapping[nbrs[0]]]) if nbrs else range(host_n))
+        d = need[i]
+        for w in candidates[i]:
+            if w in used_host or len(host_adj[w]) < d:
                 continue
             new_colours = []
             ok = True
@@ -320,21 +352,27 @@ def _search(
                     new_colours.append(c)
             if not ok:
                 continue
-            mapping[v] = w
+            mapping[order[i]] = w
             used_host.add(w)
             used_colours.update(new_colours)
-            if extend(i + 1):
-                return True
+            added[i] = new_colours
+            i += 1
+            if i == vp:
+                return tuple(mapping)
+            break
+        else:
+            # position i is exhausted: undo the placement before it
+            candidates[i] = None
+            i -= 1
+            if i < start:
+                return None
+            v = order[i]
+            used_host.discard(mapping[v])
             mapping[v] = -1
-            used_host.discard(w)
-            used_colours.difference_update(new_colours)
-        return False
-
-    if extend(start):
-        return tuple(mapping)
-    return None
+            used_colours.difference_update(added[i])
 
 
+@lru_cache(maxsize=PLAN_CACHE_SIZE)
 def edge_orbit_plans(pattern: Graph) -> tuple[Plan, ...]:
     """Search plans pinning one oriented pattern edge each, one plan per
     orbit of oriented edges under the pattern's automorphisms.
@@ -345,7 +383,8 @@ def edge_orbit_plans(pattern: Graph) -> tuple[Plan, ...]:
     representative onto (a, b).  So pinning every representative to
     (a, b), one orientation only, finds a copy through (a, b) whenever
     one exists.  Orbit membership is itself a pinned search: an
-    embedding of the pattern into itself is an automorphism.
+    embedding of the pattern into itself is an automorphism.  The plans
+    depend only on the pattern's value and are cached by it.
     """
     plans: list[Plan] = []
     for u, v in pattern.sorted_edges:
@@ -631,17 +670,19 @@ def tree_code(g: Graph) -> str:
     return min(rooted_code(g, r) for r in range(g.n))
 
 
-def enumerate_trees(k: int) -> Iterator[Graph]:
-    """One representative per isomorphism class of trees on k vertices.
+@cache
+def _coded_trees(k: int) -> tuple[tuple[str, Graph], ...]:
+    """The catalogue of trees on k vertices: (canonical code, representative)
+    per isomorphism class, in first-seen order.
 
     Rooted level sequences are enumerated by the successor rule and
-    deduplicated by the canonical free-tree code, giving a fixed order.
+    deduplicated by the canonical free-tree code; each class keeps the
+    first sequence that reaches it, so representatives and their vertex
+    labels are fixed.  Built once per k and shared by every caller.
     """
     if k < 1:
         raise DomainError("tree order must be >= 1")
-    if k == 1:
-        yield Graph.of(1)
-        return
+    out: list[tuple[str, Graph]] = []
     seen: set[str] = set()
     seq: list[int] | None = list(range(k))
     while seq is not None:
@@ -649,8 +690,16 @@ def enumerate_trees(k: int) -> Iterator[Graph]:
         c = tree_code(g)
         if c not in seen:
             seen.add(c)
-            yield g
+            out.append((c, g))
         seq = _level_sequence_successor(seq)
+    return tuple(out)
+
+
+def enumerate_trees(k: int) -> Iterator[Graph]:
+    """One representative per isomorphism class of trees on k vertices,
+    in the fixed order of the catalogue ``_coded_trees(k)``."""
+    for _, g in _coded_trees(k):
+        yield g
 
 
 def is_isomorphic(a: Graph, b: Graph) -> bool:

@@ -10,6 +10,13 @@ arrowing forest found closes the upper bound.  Lower bounds beyond the
 multiplicity cap are never claimed: avoiding colourings need not
 compose across many copies of a shape, so exhausted levels are
 reported as budget-conditional.
+
+Each level's candidates are built from the tree catalogue of
+``graphs._coded_trees``, which codes every tree shape once per process
+instead of once per level, and every ``arrows`` call on the same
+pattern pair reuses the pattern's cached search plans.  Neither cache
+depends on a candidate forest or a verdict, so certificates are the
+same as without them.
 """
 
 from __future__ import annotations
@@ -25,7 +32,7 @@ from .constructions import (
 )
 from .densities import classify, max_density
 from .errors import DomainError
-from .graphs import Colouring, Graph, avoids, enumerate_trees, tree_code
+from .graphs import Colouring, Graph, _coded_trees, avoids, tree_code
 
 DEFAULT_VERTEX_BUDGET = 12
 DEFAULT_COPIES_CAP = 3
@@ -170,10 +177,7 @@ def _level_candidates(k: int, copies_cap: int, vertex_budget: int) -> list[Graph
     """Forests whose largest component has exactly k vertices: multisets
     of tree shapes on 2..k vertices with bounded multiplicity, ordered
     by total order and then canonical component codes."""
-    shapes: list[tuple[int, str, Graph]] = []
-    for size in range(2, k + 1):
-        for t in enumerate_trees(size):
-            shapes.append((size, tree_code(t), t))
+    shapes = [(size, code, t) for size in range(2, k + 1) for code, t in _coded_trees(size)]
     shapes.sort(key=lambda s: (s[0], s[1]))
     out: list[tuple[int, tuple[str, ...], Graph]] = []
     # each stack entry is a multiset of shapes: (next shape index, vertices

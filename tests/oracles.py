@@ -7,9 +7,15 @@ time, tree isomorphism classes by generating every labelled tree and
 deduplicating with a backtracking isomorphism test, arrowing by
 testing every prefix of a colouring search with ``naive_copy``,
 containment and arrow sweeps by a fresh sample and a full search per
-grid point.  None of it shares code paths with the package algorithms it
-validates (the arrow-sweep oracle checks the sweep's bookkeeping and
-calls ``arrows``, which has its own reference above).
+grid point, the embedding search by the recursion it had before its
+candidate filter, and the tree catalogue by coding every rooted level
+sequence again.  None of it shares code paths with the package
+algorithms it validates (the arrow-sweep oracle checks the sweep's
+bookkeeping and calls ``arrows``, which has its own reference above;
+the search oracle takes the package's placement plan, which fixes the
+order in which copies are found; the catalogue oracle reuses the
+level-sequence successor and ``tree_code``, which the catalogue only
+stores).
 """
 
 from __future__ import annotations
@@ -328,4 +334,84 @@ def arrow_column_oracle(n: int, h1: Graph, h2: Graph, grid, seed: int, trial: in
     for p in grid:
         sample = Graph.of(n, [e for e, u in zip(order, us) if u < p])
         out.append(None if sample.e > edge_cap else arrows(sample, h1, h2, edge_budget=edge_cap).arrows)
+    return out
+
+
+def search_oracle(pattern: Graph, host_n: int, host_adj, rainbow_colour, plan, pin=None):
+    """The embedding search without candidate filters, by plain recursion.
+
+    Takes the same arguments as ``ramsey_lab.graphs._search``, with the
+    plan given explicitly (only its placement order and placed
+    neighbours are read), and tries host candidates in the same order,
+    so it returns the first embedding in that order, or None.
+    """
+    vp = pattern.n
+    if vp > host_n:
+        return None
+    order, placed_nbrs = plan[0], plan[1]
+    mapping = [-1] * vp
+    used_host: set[int] = set()
+    used_colours: set[int] = set()
+    start = 0
+    if pin is not None:
+        a, b = pin
+        mapping[order[0]], mapping[order[1]] = a, b
+        used_host.update(pin)
+        if rainbow_colour is not None:
+            used_colours.add(rainbow_colour(a, b))
+        start = 2
+
+    def extend(i: int) -> bool:
+        if i == vp:
+            return True
+        v = order[i]
+        nbrs = placed_nbrs[i]
+        candidates = sorted(host_adj[mapping[nbrs[0]]]) if nbrs else range(host_n)
+        for w in candidates:
+            if w in used_host:
+                continue
+            new_colours = []
+            ok = True
+            for u in nbrs:
+                a = mapping[u]
+                if w not in host_adj[a]:
+                    ok = False
+                    break
+                if rainbow_colour is not None:
+                    c = rainbow_colour(a, w)
+                    if c in used_colours or c in new_colours:
+                        ok = False
+                        break
+                    new_colours.append(c)
+            if not ok:
+                continue
+            mapping[v] = w
+            used_host.add(w)
+            used_colours.update(new_colours)
+            if extend(i + 1):
+                return True
+            mapping[v] = -1
+            used_host.discard(w)
+            used_colours.difference_update(new_colours)
+        return False
+
+    return tuple(mapping) if extend(start) else None
+
+
+def coded_trees_oracle(k: int) -> list[tuple[str, Graph]]:
+    """(tree_code(t), t) for the trees on k vertices, enumerated without a
+    catalogue: every rooted level sequence in successor order, coded on
+    the spot and kept when its code is new."""
+    from ramsey_lab.graphs import _level_sequence_successor, _level_sequence_to_graph, tree_code
+
+    out = []
+    seen: set[str] = set()
+    seq = list(range(k))
+    while seq is not None:
+        g = _level_sequence_to_graph(seq)
+        c = tree_code(g)
+        if c not in seen:
+            seen.add(c)
+            out.append((c, g))
+        seq = _level_sequence_successor(seq)
     return out

@@ -191,12 +191,24 @@ def test_refusal_lines(capsys):
             "refused: arrow sweep needs --h1 and --h2\n",
         ("sweep", "--mode", "containment", "--n", "5", "--p-grid", "0.5"):
             "refused: containment sweep needs --h\n",
+        ("sweep", "--mode", "arrow", "--h1", "K1,2", "--h2", "P3", "--n", "-1", "--p-grid", "0.5", "--trials", "0"):
+            "refused: vertex count must be non-negative\n",
         ("arrow", "--g", "K4", "--h1", "K3", "--h2", "P3", "--edge-budget", "5"):
             "refused: 6 edges exceeds the colouring search budget of 5;"
             " raise edge_budget to force the search\n",
     }
     for argv, line in refusals.items():
         assert run(capsys, *argv) == (1, "", line)
+
+
+def test_containment_sweep_search_depth_does_not_grow_with_the_pattern(capsys, low_recursion_limit):
+    # the recursive search took one frame per placed pattern vertex, 151 here
+    code, out, err = run(
+        capsys, "sweep", "--mode", "containment", "--h", "K1,150", "--n", "160",
+        "--p-grid", "0.5,0.99,1", "--trials", "2",
+    )
+    assert (code, err) == (0, "")
+    assert out.splitlines()[1:] == ["160,0.5,2,0,0,0.0,0.0,0", "160,0.99,2,2,0,1.0,0.0,0", "160,1.0,2,2,0,1.0,0.0,0"]
 
 
 def test_closed_pipe_exits_cleanly():

@@ -265,6 +265,9 @@ def test_negative_trials_and_vertex_count_refused():
         containment_sweep(parse_graph("K3"), -1, [0.5], 3, seed=0)
     with pytest.raises(DomainError):
         arrow_probability(5, 0.5, star(2), star(2), trials=-1, seed=0)
+    # refused up front, even when no trial would build a sample
+    with pytest.raises(DomainError, match="vertex count must be non-negative"):
+        arrow_sweep(star(2), path(3), -1, [0.5], 0, seed=0)
 
 
 def test_parse_p_grid_errors():

@@ -2,15 +2,21 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ramsey_lab.errors import GraphParseError
 from ramsey_lab.graphs import (
     Colouring,
     Embedding,
     Graph,
+    _coded_trees,
+    _plan,
+    _search,
     avoids,
     colour_degree,
     contains,
+    edge_orbit_plans,
     enumerate_trees,
     find_embedding,
     find_monochromatic_copy,
@@ -26,7 +32,14 @@ from ramsey_lab.graphs import (
 )
 from ramsey_lab.trees import CompleteAryTree, LayeredTree, RootedTree
 
-from oracles import brute_force_trees, naive_copy, random_canonical_colouring, rooted_code_oracle
+from oracles import (
+    brute_force_trees,
+    coded_trees_oracle,
+    naive_copy,
+    random_canonical_colouring,
+    rooted_code_oracle,
+    search_oracle,
+)
 
 
 def test_parse_families():
@@ -249,3 +262,69 @@ def test_avoids_is_both_finders():
         for h1, h2 in ((path(2), path(2)), (matching(2), path(3)), (star(2), star(3))):
             expected = not naive_copy(g, chi, h1, "mono") and not naive_copy(g, chi, h2, "rainbow")
             assert avoids(g, chi, h1, h2) == expected
+
+
+@st.composite
+def search_cases(draw):
+    """A host on at most 8 vertices with a colouring in at most 3 colours,
+    and a pattern on at most 5 vertices."""
+    n = draw(st.integers(1, 8))
+    edges = draw(st.sets(st.sampled_from(list(itertools.combinations(range(n), 2))))) if n > 1 else set()
+    host = Graph.of(n, edges)
+    chi = Colouring.from_values(host, draw(st.lists(st.integers(0, 2), min_size=host.e, max_size=host.e)))
+    k = draw(st.integers(1, min(n, 5)))
+    pattern_edges = draw(st.sets(st.sampled_from(list(itertools.combinations(range(k), 2))))) if k > 1 else set()
+    return host, chi, Graph.of(k, pattern_edges)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(search_cases())
+def test_filtered_search_finds_the_unfiltered_first_copy(case):
+    host, chi, pattern = case
+    n, colour = host.n, chi.colour_of
+    classes = []
+    for cls in chi.classes():
+        adj = [set() for _ in range(n)]
+        for a, b in cls:
+            adj[a].add(b)
+            adj[b].add(a)
+        classes.append(adj)
+    # the prefix adjacency of the anchored check: neighbour -> colour
+    coloured = [{w: colour(v, w) for w in host.adj[v]} for v in range(n)]
+
+    plan = _plan(pattern)
+    for adj, fn in [(host.adj, None), (host.adj, colour), (coloured, colour)] + [(c, None) for c in classes]:
+        assert _search(pattern, n, adj, fn) == search_oracle(pattern, n, adj, fn, plan)
+    for p in edge_orbit_plans(pattern):
+        for a, b in host.sorted_edges:
+            for pin in ((a, b), (b, a)):
+                for adj, fn in ((host.adj, None), (coloured, colour), (classes[colour(a, b)], None)):
+                    assert _search(pattern, n, adj, fn, p, pin) == search_oracle(pattern, n, adj, fn, p, pin)
+
+
+def test_search_depth_does_not_grow_with_the_pattern(low_recursion_limit):
+    # the recursive search took one frame per placed pattern vertex
+    assert contains(path(1100), path(1100))
+    assert find_embedding(path(1100), path(1100)).mapping == tuple(range(1101))
+
+
+@pytest.mark.parametrize("k", range(1, 11))
+def test_tree_catalogue_matches_coding_every_sequence(k):
+    old = coded_trees_oracle(k)
+    new = _coded_trees(k)
+    assert [c for c, _ in new] == [c for c, _ in old]
+    # the same representatives with the same vertex labels
+    assert [t.edges for _, t in new] == [t.edges for _, t in old]
+    assert [t.edges for t in enumerate_trees(k)] == [t.edges for _, t in old]
+
+
+def test_cached_plans_equal_fresh_ones():
+    for spec in ("K3", "K4", "P4", "K1,3", "M2", "K1,2+K2", "T(2,2)", "3; 0 1"):
+        g = parse_graph(spec)
+        assert _plan(g) == _plan.__wrapped__(g)
+        plans = edge_orbit_plans(g)
+        assert plans == edge_orbit_plans.__wrapped__(g)
+        for p in plans:
+            assert p == _plan.__wrapped__(g, p[0][:2])
+        # the cache is keyed by the pattern's value, not by the object
+        assert edge_orbit_plans(Graph.of(g.n, g.edges)) is plans
