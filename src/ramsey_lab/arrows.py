@@ -28,7 +28,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator
+from typing import Generator, Iterator
 
 from .errors import BudgetError, DomainError
 from .graphs import (
@@ -47,22 +47,10 @@ DEFAULT_EDGE_BUDGET = 16
 
 
 def enumerate_colourings(g: Graph) -> Iterator[Colouring]:
-    """Every set partition of E(G), once each, as canonical colourings."""
-    m = g.e
-    if m == 0:
-        yield Colouring.from_values(g, [])
-        return
-    values = [0] * m
-
-    def rec(i: int, blocks: int):
-        if i == m:
-            yield Colouring.from_values(g, values)
-            return
-        for c in range(blocks + 1):
-            values[i] = c
-            yield from rec(i + 1, max(blocks, c + 1))
-
-    yield from rec(0, 0)
+    """Every set partition of E(G), once each, as canonical colourings,
+    in the order the arrowing search meets them."""
+    for values, _ in _restricted_growth(g, None, None):
+        yield Colouring.from_values(g, values)
 
 
 def _completions(blocks: int, remaining: int) -> int:
@@ -136,23 +124,27 @@ def arrows(g: Graph, h1: Graph, h2: Graph, edge_budget: int | None = DEFAULT_EDG
     if h1.e == 0 or h2.e == 0:
         # an edgeless pattern that fits is a copy in every colouring
         return ArrowVerdict(True, None, bell_number(g.e))
-    values, examined = _least_avoiding(g, h1, h2)
-    if values is None:
-        return ArrowVerdict(True, None, examined)
+    walk = _restricted_growth(g, h1, h2)
+    try:
+        values, examined = next(walk)
+    except StopIteration as end:
+        return ArrowVerdict(True, None, end.value)
     return _verified_not_arrows(g, Colouring.from_values(g, values), h1, h2, examined)
 
 
-def _least_avoiding(g: Graph, h1: Graph, h2: Graph) -> tuple[list[int] | None, int]:
-    """Depth-first search of the restricted-growth strings of E(g), for
-    patterns that both have edges.
+def _restricted_growth(
+    g: Graph, h1: Graph | None, h2: Graph | None
+) -> Generator[tuple[list[int], int], None, int]:
+    """Depth-first walk of the restricted-growth strings of E(g), in
+    lexicographic order.  Given two patterns with edges, a prefix the
+    anchored check settles is pruned, its strings counted as settled;
+    given None, every string is reached.
 
-    Returns the least string avoiding both patterns, or None, and the
-    number of canonical colourings settled on the way.
+    Yields each string reached (one live list) with the number settled
+    so far, that one included; returns the number the walk settled.
     """
     n, m = g.n, g.e
     edges = g.sorted_edges
-    e1, e2 = h1.e, h2.e
-    plans1, plans2 = edge_orbit_plans(h1), edge_orbit_plans(h2)
     values = [0] * m
     blocks = [0] * (m + 1)  # blocks[i]: colours used by the first i edges
     # the prefix adjacency, holding each coloured edge's colour
@@ -184,40 +176,50 @@ def _least_avoiding(g: Graph, h1: Graph, h2: Graph) -> tuple[list[int] | None, i
         class_adj[c][b].discard(a)
         class_size[c] -= 1
 
-    def settles(i: int) -> bool:
-        """Does a copy run through edge i, the newest coloured one?"""
-        c = values[i]
-        if class_size[c] >= e1 and has_copy_through(h1, plans1, n, class_adj[c], edges[i]):
-            return True
-        return (
-            i + 1 >= e2
-            and blocks[i + 1] >= e2
-            and has_copy_through(h2, plans2, n, nbr_colour, edges[i], colour)
-        )
+    if h1 is None:
+        settles = lambda i: False  # enumerate every string
+    else:
+        e1, e2 = h1.e, h2.e
+        plans1, plans2 = edge_orbit_plans(h1), edge_orbit_plans(h2)
+
+        def settles(i: int) -> bool:
+            """Does a copy run through edge i, the newest coloured one?"""
+            c = values[i]
+            if class_size[c] >= e1 and has_copy_through(h1, plans1, n, class_adj[c], edges[i]):
+                return True
+            return (
+                i + 1 >= e2
+                and blocks[i + 1] >= e2
+                and has_copy_through(h2, plans2, n, nbr_colour, edges[i], colour)
+            )
 
     examined = 0
     i = 0  # edges coloured so far
-    while i < m:
-        assign(i, 0)
-        i += 1
-        while settles(i - 1):
+    while True:
+        if i and settles(i - 1):
             # every extension keeps the copy: assigned colours are final
             key = (blocks[i], m - i)
             if key not in counts:
                 counts[key] = _completions(*key)
             examined += counts[key]
-            # move to the next colour string in order, past exhausted edges
-            while True:
-                i -= 1
-                c = values[i]
-                undo(i)
-                if c < blocks[i]:
-                    assign(i, c + 1)
-                    i += 1
-                    break
-                if i == 0:
-                    return None, examined
-    return values, examined + 1
+        elif i < m:
+            assign(i, 0)
+            i += 1
+            continue
+        else:
+            examined += 1
+            yield values, examined
+        # move to the next colour string in order, past exhausted edges
+        while True:
+            if i == 0:
+                return examined
+            i -= 1
+            c = values[i]
+            undo(i)
+            if c < blocks[i]:
+                assign(i, c + 1)
+                i += 1
+                break
 
 
 def constrained_ramsey_number(

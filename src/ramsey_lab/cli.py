@@ -154,7 +154,7 @@ def _construct(args) -> None:
         print(f"arity = {plan.arity}")
         print(f"height = {plan.height}")
         print(f"vertices = {plan.tree.n}")
-        print(f"pattern-root = {plan.pattern_root}")
+        print(f"pattern-root = {plan.rooted_completion.root}")
         if args.edges:
             for u, v in plan.tree.graph.sorted_edges:
                 print(f"{u} {v}")
@@ -178,7 +178,7 @@ def _construct(args) -> None:
             raise DomainError("binary-host needs --height")
         t = rainbow_binary_host(args.height)
         print(f"vertices = {t.n}")
-        print(f"leaves = {len(t.leaves())}")
+        print(f"leaves = {t.level_sizes[-1]}")
 
 
 def _sweep(args) -> None:

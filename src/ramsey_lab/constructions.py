@@ -131,15 +131,11 @@ class StarArrowTree:
     """A complete tree forced to contain a monochromatic star or a
     rainbow copy of the completed pattern forest."""
 
-    tree: RootedTree
+    tree: CompleteAryTree
     arity: int
     height: int
     completion: Graph          # the pattern forest completed to a tree
     rooted_completion: RootedTree
-
-    @property
-    def pattern_root(self) -> int:
-        return self.rooted_completion.root
 
 
 def spanning_tree_completion(forest: Graph) -> Graph:
@@ -180,7 +176,7 @@ def star_arrow_tree(
     return StarArrowTree(tree, arity, rooted.height, completion, rooted)
 
 
-def greedy_rainbow_embed(tree, chi, pattern: RootedTree) -> Embedding | None:
+def greedy_rainbow_embed(tree, chi, pattern: RootedTree | CompleteAryTree) -> Embedding | None:
     """Embed the rooted pattern into the tree rainbow, level by level.
 
     The pattern root goes to the tree root; every extension step uses
@@ -221,10 +217,7 @@ def find_monochromatic_star(tree, chi, s: int) -> Embedding | None:
     fn = as_colour_fn(chi)
     for v in tree.vertices():
         groups: dict[int, list[int]] = {}
-        p = tree.parent_of(v)
-        if p >= 0:
-            groups.setdefault(fn(*norm_edge(p, v)), []).append(p)
-        for w in tree.child_list(v):
+        for w in tree.neighbours(v):
             groups.setdefault(fn(*norm_edge(v, w)), []).append(w)
         for c in sorted(groups):
             if len(groups[c]) >= s:
@@ -268,10 +261,7 @@ def _collect_stars(tree, fn, pool: Sequence[int], s: int) -> list[tuple[int, int
     star_size = 2 * s * s + 3 * s
     low: list[int] = []
     for v in pool:
-        incident = {fn(*norm_edge(v, w)) for w in tree.child_list(v)}
-        p = tree.parent_of(v)
-        if p >= 0:
-            incident.add(fn(*norm_edge(p, v)))
+        incident = {fn(*norm_edge(v, w)) for w in tree.neighbours(v)}
         if len(incident) <= 3 * s - 1:
             low.append(v)
     if len(low) < 2 * s * s + 1:
@@ -316,9 +306,7 @@ def _greedy_rainbow_cherries(tree, fn, pool: Sequence[int], s: int) -> Embedding
             if v in used_v:
                 continue
             options: dict[int, int] = {}
-            p = tree.parent_of(v)
-            neighbours = ([p] if p >= 0 else []) + list(tree.child_list(v))
-            for w in neighbours:
+            for w in tree.neighbours(v):
                 if w in used_v:
                     continue
                 c = fn(*norm_edge(v, w))
@@ -578,7 +566,7 @@ def disjoint_rainbow_trees(
     fn = as_colour_fn(chi)
     quota = int(params.c * g.n)
     raw = _extract_rainbow_trees(g, fn, list(range(g.n)), d, h)
-    shape = CompleteAryTree(d, h).to_graph()
+    shape = CompleteAryTree(d, h).graph
     copies = [Embedding(shape, tuple(copy), "rainbow") for copy in raw]
     seen: set[int] = set()
     for emb in copies:

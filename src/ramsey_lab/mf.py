@@ -23,6 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import takewhile
 
 from .arrows import DEFAULT_EDGE_BUDGET, arrows
 from .constructions import (
@@ -214,16 +215,18 @@ def solve(
     edge_budget: int | None = DEFAULT_EDGE_BUDGET,
 ) -> MfReport:
     """Walk component-size levels upward until a verified arrowing
-    forest appears or the budget runs out; see the module docstring."""
+    forest appears or the budget runs out; see the module docstring.
+
+    Each level gets one record: sound, witness, incomplete or
+    exhausted.  The lower end comes from the run of sound and exhausted
+    levels from k = 2; without a witness the upper end is the
+    construction tree's.
+    """
     _check_scope(h1, h2)
     h1, h2 = strip_isolated(h1), strip_isolated(h2)
 
     levels: list[LevelRecord] = []
     witness: Graph | None = None
-    witness_level: int | None = None
-    all_previous_sound = True
-    exact = False
-
     for k in range(2, vertex_budget + 1):
         reason = _sound_level_reason(h1, h2, k)
         if reason is not None:
@@ -231,86 +234,50 @@ def solve(
             continue
         refuted: list[str] = []
         refusals: list[str] = []
-        all_previous_sound = all(rec.status == "sound" for rec in levels)
         for cand in _level_candidates(k, copies_cap, vertex_budget):
             name = describe_forest(cand)
             scheme = _cheap_refutation(cand, h1, h2)
             if scheme is not None:
                 refuted.append(f"{name} [{scheme}]")
-                continue
-            if edge_budget is not None and cand.e > edge_budget:
+            elif edge_budget is not None and cand.e > edge_budget:
                 refusals.append(name)
-                continue
-            verdict = arrows(cand, h1, h2, edge_budget=edge_budget)
-            if verdict.arrows:
+            elif arrows(cand, h1, h2, edge_budget=edge_budget).arrows:
                 witness = cand
-                witness_level = k
                 break
-            refuted.append(f"{name} [exhausted]")
+            else:
+                refuted.append(f"{name} [exhausted]")
         if witness is not None:
-            levels.append(
-                LevelRecord(
-                    k,
-                    "witness",
-                    f"{describe_forest(witness)} arrows the pair",
-                    tuple(refuted),
-                    tuple(refusals),
-                )
-            )
-            exact = all_previous_sound
-            break
-        status = "incomplete" if refusals else "exhausted"
-        levels.append(
-            LevelRecord(
-                k,
-                status,
-                f"all candidates with multiplicity <= {copies_cap} refuted"
-                if not refusals
-                else "some candidates exceeded the colouring budget",
-                tuple(refuted),
-                tuple(refusals),
-            )
-        )
-
-    deepest_refuted = 1
-    for rec in levels:
-        if rec.status in ("sound", "exhausted"):
-            deepest_refuted = rec.k
+            status, reason = "witness", f"{describe_forest(witness)} arrows the pair"
+        elif refusals:
+            status, reason = "incomplete", "some candidates exceeded the colouring budget"
         else:
+            status, reason = "exhausted", f"all candidates with multiplicity <= {copies_cap} refuted"
+        levels.append(LevelRecord(k, status, reason, tuple(refuted), tuple(refusals)))
+        if witness is not None:
             break
-    lower = Fraction(deepest_refuted - 1, deepest_refuted)
 
+    # levels run k = 2, 3, ..., so the settled run ends at k = 1 + its length
+    settled = takewhile(lambda rec: rec.status in ("sound", "exhausted"), levels)
+    deepest_refuted = 1 + sum(1 for _ in settled)
     if witness is not None:
-        upper = Fraction(witness_level - 1, witness_level)
-        report = MfReport(
-            h1,
-            h2,
-            upper=upper,
-            upper_witness=witness,
-            upper_verified=True,
-            upper_source="search",
-            lower=lower,
-            exact=exact,
-            v_param_bounds=(deepest_refuted + 1, witness_level),
-            levels=levels,
-            copies_cap=copies_cap,
-        )
+        top = levels[-1].k
+        upper, verified, source = Fraction(top - 1, top), True, "search"
         if max_density(witness) != upper:
             raise AssertionError("witness density disagrees with its level")
-        return report
-
-    bound, verified, desc = construction_upper_bound(h1, h2, edge_budget)
-    levels.append(LevelRecord(vertex_budget + 1, "incomplete", f"fell back to {desc}"))
+    else:
+        top, source = None, "construction"
+        upper, verified, desc = construction_upper_bound(h1, h2, edge_budget)
+        levels.append(LevelRecord(vertex_budget + 1, "incomplete", f"fell back to {desc}"))
     return MfReport(
         h1,
         h2,
-        upper=bound,
-        upper_witness=None,
+        upper=upper,
+        upper_witness=witness,
         upper_verified=verified,
-        upper_source="construction",
-        lower=lower,
-        exact=False,
-        v_param_bounds=(deepest_refuted + 1, None),
+        upper_source=source,
+        lower=Fraction(deepest_refuted - 1, deepest_refuted),
+        exact=witness is not None and all(rec.status == "sound" for rec in levels[:-1]),
+        v_param_bounds=(deepest_refuted + 1, top),
         levels=levels,
         copies_cap=copies_cap,
     )
@@ -319,33 +286,33 @@ def solve(
 def construction_upper_bound(
     h1: Graph, h2: Graph, edge_budget: int | None = DEFAULT_EDGE_BUDGET
 ) -> tuple[Fraction, bool, str]:
-    """Density of the explicit arrowing tree for the pair.
+    """Density (n-1)/n of the explicit arrowing tree for the pair.
 
     Star versus forest uses the complete-tree construction sized by the
     star and the completed pattern; constellation versus short forest
-    uses the height-3 tree.  The bound is tagged verified only when the
-    tree is small enough to replay through the exhaustive decision.
+    uses the height-3 tree.  Both are lazy, so only n is read.  The
+    bound is tagged verified only when the star tree has at most
+    ``edge_budget`` edges; only then is its graph built and replayed
+    through the exhaustive decision.
     """
     _check_scope(h1, h2)
     h1, h2 = strip_isolated(h1), strip_isolated(h2)
-    c1, c2 = classify(h1), classify(h2)
-    if c1.is_star:
+    verified = False
+    if classify(h1).is_star:
         plan = star_arrow_tree(h1.e, h2)
-        tree = plan.tree.graph
+        tree = plan.tree
         desc = f"complete {plan.arity}-ary tree of height {plan.height}"
-        verified = False
-        if edge_budget is not None and tree.e <= edge_budget:
-            verdict = arrows(tree, h1, h2, edge_budget=edge_budget)
-            if not verdict.arrows:
+        if edge_budget is not None and tree.n - 1 <= edge_budget:
+            if not arrows(tree.graph, h1, h2, edge_budget=edge_budget).arrows:
                 raise AssertionError("construction tree failed to arrow the pair")
             verified = True
-        return Fraction(tree.n - 1, tree.n), verified, desc
-    s = max(
-        len(h1.components),
-        max(len(c) - 1 for c in h1.components),
-        len(h2.components),
-        2,
-    )
-    lazy = constellation_arrow_tree(s)
-    desc = f"complete {lazy.d}-ary tree of height 3"
-    return Fraction(lazy.n - 1, lazy.n), False, desc
+    else:
+        s = max(
+            len(h1.components),
+            max(len(c) - 1 for c in h1.components),
+            len(h2.components),
+            2,
+        )
+        tree = constellation_arrow_tree(s)
+        desc = f"complete {tree.d}-ary tree of height 3"
+    return Fraction(tree.n - 1, tree.n), verified, desc

@@ -12,12 +12,13 @@ H bounds the host size from below.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
 from .errors import BudgetError, DomainError
 from .graphs import Edge, Embedding, Graph, norm_edge, rooted_code
-from .trees import LayeredTree, RootedTree
+from .trees import CompleteAryTree, LayeredTree, RootedTree
 from .constructions import find_monochromatic_star, greedy_rainbow_embed
 
 
@@ -115,7 +116,7 @@ def _best_labelling(h: Graph, incumbent: int | None, edge_budget: int) -> Optima
             " raise edge_budget for an exact (but factorial) search"
         )
     leaves = {v for v in range(h.n) if h.degree(v) == 1}
-    best_value = incumbent
+    best_value = math.inf if incumbent is None else incumbent
     best: OptimalLabelling | None = None
     seen_codes: set[str] = set()
 
@@ -126,37 +127,38 @@ def _best_labelling(h: Graph, incumbent: int | None, edge_budget: int) -> Optima
         seen_codes.add(code)
         tree = RootedTree.from_graph(h, root)
         order = sorted(range(h.n), key=lambda v: (tree.depth_of(v), v))
-        edges = [norm_edge(tree.parent_of(v), v) for v in order if v != root]
         child_of = [v for v in order if v != root]
+        edges = [norm_edge(tree.parent_of(v), v) for v in child_of]
 
         prod = {root: 1}
-        assignment: dict[Edge, int] = {}
         used = [False] * (m + 1)
-
-        def fill(i: int, cur_max: int):
-            nonlocal best_value, best
-            if best_value is not None and cur_max >= best_value:
-                return
-            if i == m:
-                best_value = cur_max
-                best = OptimalLabelling(cur_max, root, dict(assignment))
-                return
-            e, v = edges[i], child_of[i]
-            for lab in range(1, m + 1):
-                if used[lab]:
-                    continue
-                p = prod[tree.parent_of(v)] * lab
-                if best_value is not None and p >= best_value:
-                    continue
-                used[lab] = True
-                prod[v] = p
-                assignment[e] = lab
-                fill(i + 1, max(cur_max, p) if v in leaves else cur_max)
-                used[lab] = False
-                del prod[v]
-                del assignment[e]
-
-        fill(0, 1)
+        labels = [0] * m  # label at each position, 0 before the first try
+        cur = [1] * m  # worst finished path product before each position
+        i = 0  # the position being labelled; labels[:i] is the search stack
+        while i >= 0:
+            v = child_of[i]
+            if labels[i]:
+                used[labels[i]] = False
+            base = prod[tree.parent_of(v)]
+            for lab in range(labels[i] + 1, m + 1):
+                if not used[lab] and base * lab < best_value:
+                    break
+            else:
+                labels[i] = 0
+                i -= 1
+                continue
+            labels[i] = lab
+            used[lab] = True
+            prod[v] = base * lab
+            nxt = max(cur[i], prod[v]) if v in leaves else cur[i]
+            if nxt >= best_value:
+                continue
+            if i + 1 == m:
+                best_value = nxt
+                best = OptimalLabelling(nxt, root, dict(zip(edges, labels)))
+                continue
+            i += 1
+            cur[i] = nxt
 
     return best
 
@@ -188,7 +190,7 @@ def embed_rainbow_binary(host, chi, h: int) -> Embedding:
     """
     if host.height < h:
         raise DomainError("host is shorter than the requested binary tree")
-    emb = greedy_rainbow_embed(host, chi, LayeredTree((2,) * h).to_rooted())
+    emb = greedy_rainbow_embed(host, chi, CompleteAryTree(2, h))
     if emb is None:
         emb = find_monochromatic_star(host, chi, 3)
     if emb is None:

@@ -1,16 +1,19 @@
-"""Rooted trees: explicit ones and lazy arithmetic ones.
+"""Rooted trees: lazily navigated construction hosts and explicit
+rooted trees for patterns.
 
-Large construction trees (complete d-ary trees with hundreds of
-children, the geometric-arity hosts) are navigated arithmetically from
-the level-order numbering; children are never materialised unless a
-conversion to an explicit graph is requested, which is budget-guarded.
-All tree classes share the same navigation surface: ``n``, ``root``,
-``height``, ``parent``, ``children``, ``depth``, ``is_leaf``,
-``has_edge``.
+Construction hosts (complete d-ary trees, the geometric-arity hosts)
+are ``LayeredTree``s, navigated arithmetically from the level-order
+numbering; their ``graph`` is built only to print or replay its edges,
+and refused above the vertex budget.  ``RootedTree`` roots an explicit
+tree: a pattern, a parsed forest, a labelling search's tree.  Both
+offer ``n``, ``root``, ``height``, ``graph``, ``parent_of``,
+``child_list``, ``depth_of``, ``is_leaf``, ``has_edge``, ``vertices``;
+hosts also list a vertex's ``neighbours`` for the witness searches.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -107,10 +110,7 @@ class LayeredTree:
     def depth_of(self, v: int) -> int:
         if not 0 <= v < self.n:
             raise DomainError(f"vertex {v} out of range")
-        for i in range(len(self.level_offsets) - 1):
-            if v < self.level_offsets[i + 1]:
-                return i
-        raise DomainError(f"vertex {v} out of range")
+        return bisect_right(self.level_offsets, v) - 1
 
     def is_leaf(self, v: int) -> bool:
         return self.depth_of(v) == self.height
@@ -131,6 +131,11 @@ class LayeredTree:
         pos = v - self.level_offsets[i]
         return self.level_offsets[i - 1] + pos // self.widths[i - 1]
 
+    def neighbours(self, v: int) -> list[int]:
+        """The parent, when there is one, then the children."""
+        p = self.parent_of(v)
+        return ([p] if p >= 0 else []) + list(self.child_list(v))
+
     def has_edge(self, u: int, v: int) -> bool:
         # level order numbers every parent below its children
         u, v = norm_edge(u, v)
@@ -142,13 +147,12 @@ class LayeredTree:
     def leaves(self) -> range:
         return range(self.level_offsets[self.height], self.n)
 
-    def to_graph(self, vertex_budget: int | None = DEFAULT_VERTEX_BUDGET) -> Graph:
-        if vertex_budget is not None and self.n > vertex_budget:
-            raise BudgetError(f"{self.n} vertices exceeds the budget of {vertex_budget}")
+    @cached_property
+    def graph(self) -> Graph:
+        """The explicit tree; refused above ``DEFAULT_VERTEX_BUDGET``."""
+        if self.n > DEFAULT_VERTEX_BUDGET:
+            raise BudgetError(f"{self.n} vertices exceeds the budget of {DEFAULT_VERTEX_BUDGET}")
         return Graph.of(self.n, [(self.parent_of(v), v) for v in range(1, self.n)])
-
-    def to_rooted(self, vertex_budget: int | None = DEFAULT_VERTEX_BUDGET) -> RootedTree:
-        return RootedTree.from_graph(self.to_graph(vertex_budget), 0)
 
     def __repr__(self):
         return f"LayeredTree(widths={self.widths}, n={self.n})"
@@ -168,12 +172,12 @@ class CompleteAryTree(LayeredTree):
         return f"CompleteAryTree(d={self.d}, h={self.h}, n={self.n})"
 
 
-def complete_ary_tree(d: int, h: int, vertex_budget: int | None = DEFAULT_VERTEX_BUDGET) -> RootedTree:
-    """Explicit complete d-ary tree of height h; refuses above the budget."""
-    lazy = CompleteAryTree(d, h)
-    if vertex_budget is not None and lazy.n > vertex_budget:
+def complete_ary_tree(d: int, h: int, vertex_budget: int | None = DEFAULT_VERTEX_BUDGET) -> CompleteAryTree:
+    """Complete d-ary tree of height h, navigated lazily; refuses above the budget."""
+    tree = CompleteAryTree(d, h)
+    if vertex_budget is not None and tree.n > vertex_budget:
         raise BudgetError(
-            f"complete {d}-ary tree of height {h} has {lazy.n} vertices,"
+            f"complete {d}-ary tree of height {h} has {tree.n} vertices,"
             f" above the budget of {vertex_budget}"
         )
-    return lazy.to_rooted(vertex_budget)
+    return tree

@@ -51,6 +51,14 @@ def test_enumerate_colourings_bell_counts():
         assert len(set(seen)) == expected
 
 
+def test_enumerate_colourings_is_lexicographic_and_iterative(low_recursion_limit):
+    host = parse_graph("P3+K1,2")
+    strings = [chi.colours for chi in enumerate_colourings(host)]
+    assert strings == sorted(strings) and len(strings) == bell_number(5)
+    # the recursive generator took one frame per edge, 300 here
+    assert next(enumerate_colourings(path(300))).colours == (0,) * 300
+
+
 def test_bell_number_is_iterative():
     assert [bell_number(k) for k in range(8)] == [bell_triangle(k) for k in range(8)]
     assert bell_number(1200) == bell_triangle(1200)

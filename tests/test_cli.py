@@ -84,6 +84,13 @@ def test_construct_command(capsys):
     assert "arity = 3" in out and "vertices = 40" in out
 
 
+def test_construct_binary_host_counts_leaves_past_a_machine_word(capsys):
+    # 2^63 leaves: more than a range's length can hold
+    code, out, err = run(capsys, "construct", "--kind", "binary-host", "--height", "9")
+    n = sum(2 ** (i * (i - 1) // 2 + 3 * i) for i in range(10))
+    assert (code, out, err) == (0, f"vertices = {n}\nleaves = {2 ** 63}\n", "")
+
+
 def test_sweep_command_replays(capsys):
     argv = [
         "sweep", "--mode", "containment", "--h", "K3", "--n", "20",

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ramsey_lab.errors import GraphParseError
+from ramsey_lab.errors import BudgetError, GraphParseError
 from ramsey_lab.graphs import (
     Colouring,
     Embedding,
@@ -247,11 +247,33 @@ def test_verify_witness_rejects_broken_copies():
 
 def test_tree_has_edge_matches_explicit_graph():
     for lazy in (CompleteAryTree(3, 2), LayeredTree((2, 3, 1))):
-        g = lazy.to_graph()
+        g = lazy.graph
         rooted = RootedTree.from_graph(g, 4)
         for u in range(-1, g.n + 1):
             for v in range(-1, g.n + 1):
                 assert lazy.has_edge(u, v) == rooted.has_edge(u, v) == g.has_edge(u, v)
+
+
+def test_lazy_hosts_navigate_like_their_explicit_trees():
+    hosts = [CompleteAryTree(d, h) for d in range(1, 5) for h in range(4)]
+    hosts += [LayeredTree(w) for w in ((2, 3, 1), (1, 4), (5,), (8, 16))]
+    for lazy in hosts:
+        explicit = RootedTree.from_graph(lazy.graph, 0)
+        assert (lazy.n, lazy.height) == (explicit.n, explicit.height)
+        assert lazy.graph.e == lazy.n - 1
+        for v in range(lazy.n):
+            assert lazy.parent_of(v) == explicit.parent_of(v)
+            assert tuple(lazy.child_list(v)) == explicit.child_list(v)
+            assert lazy.depth_of(v) == explicit.depth_of(v)
+            assert lazy.is_leaf(v) == explicit.is_leaf(v)
+        for u in range(-1, lazy.n + 1):
+            for v in range(-1, lazy.n + 1):
+                assert lazy.has_edge(u, v) == explicit.has_edge(u, v)
+
+
+def test_lazy_host_graph_is_budgeted():
+    with pytest.raises(BudgetError, match="2097151 vertices exceeds the budget of 1048576"):
+        CompleteAryTree(2, 20).graph
 
 
 def test_avoids_is_both_finders():

@@ -14,6 +14,7 @@ from ramsey_lab.mf import (
     solve,
     strip_isolated,
 )
+from ramsey_lab.trees import LayeredTree
 
 
 def test_cherry_vs_cherry_exact():
@@ -137,6 +138,16 @@ def test_level_candidates_depth_independent_of_shape_count():
     # within a 10-vertex budget the only level-10 forests are the 106 trees
     assert len(candidates) == 106
     assert all(g.n == 10 and g.e == 9 and len(g.components) == 1 for g in candidates)
+
+
+def test_construction_bound_reads_the_tree_order_without_building_it(monkeypatch):
+    def refuse(self):
+        raise AssertionError("the construction host was materialised")
+
+    monkeypatch.setattr(LayeredTree, "graph", property(refuse))
+    assert construction_upper_bound(star(4), path(4)) == (
+        Fraction(11110, 11111), False, "complete 10-ary tree of height 4"
+    )
 
 
 def test_certificate_serialises():

@@ -1,5 +1,7 @@
+import inspect
 import math
 import random
+import sys
 
 import pytest
 
@@ -181,6 +183,19 @@ def test_rainbow_copy_in_descendant_coloured_tree_implies_size():
                 for spec, bound in patterns.items():
                     if find_rainbow_copy(g, labels, parse_graph(spec)) is not None:
                         assert g.n >= bound
+
+
+def test_labelling_search_depth_does_not_grow_with_the_tree():
+    # the recursive fill took one frame per labelled edge, 9 here
+    g = path(8)
+    assert g.is_forest  # fill the graph's cached properties first
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack()) + 15)
+    try:
+        best = min_max_path_product(g)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert best.value == 210
 
 
 def test_rainbow_binary_host_shape():
