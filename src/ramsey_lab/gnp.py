@@ -3,18 +3,20 @@
 Randomness comes from SHA-256-keyed Mersenne Twister streams: trial t
 of seed s draws from ``random.Random`` seeded with the digest of
 "s:t", so every row is reproducible bit for bit across platforms and
-independent of evaluation order.  Pairs are scanned in a fixed
-lexicographic order, and sweeps reuse one uniform draw per pair across
-the whole probability grid, which couples the samples monotonically:
-raising p only ever adds edges.  Each trial of a sweep draws its
-uniforms once and returns one column, an outcome per grid point.  A
-containment trial is evaluated as a hitting time along that coupled
-edge order, as in the random graph process: its pairs join an empty
-graph in increasing order of their uniforms until the first copy of the
-pattern appears, and the uniform of the edge that completed it decides
-every grid point at once.  An arrow trial builds each grid point's
-sample from the same uniforms and decides it with a full ``arrows``
-search.
+independent of evaluation order.  Pair i of the fixed lexicographic
+pair order draws the i-th uniform of the stream, and sweeps reuse one
+uniform per pair across the whole probability grid, which couples the
+samples monotonically: raising p only ever adds edges.  Every sample
+reads one draw: the trial's stream is read once, and the pairs whose
+uniform lies below the largest probability wanted are kept, sorted by
+uniform (ties by pair index).  G(n, p) is then a prefix of that draw.
+Each trial of a sweep returns one column, an outcome per grid point.  A
+containment trial is evaluated as a hitting time along the draw, as in
+the random graph process: its pairs join an empty graph in order until
+the first copy of the pattern appears, and the uniform of the edge that
+completed it decides every grid point at once.  An arrow trial reads
+each grid point's sample size off the draw, and decides a sample within
+the edge cap with a full ``arrows`` search.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ import os
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .arrows import DEFAULT_EDGE_BUDGET, arrows
 from .errors import DomainError, GraphParseError
@@ -52,18 +54,44 @@ def pair_uniforms(n: int, seed: int, trial: int) -> list[float]:
     return [rng.random() for _ in range(n * (n - 1) // 2)]
 
 
-def _sample(n: int, us: Sequence[float], p) -> Graph:
-    """The pairs whose uniform in ``us`` lies below p."""
+def _probability(p) -> float:
     p = float(p)
     if not 0 <= p <= 1:
         raise DomainError("edge probability must lie in [0, 1]")
-    return Graph.of(n, [e for e, u in zip(pair_order(n), us) if u < p])
+    return p
+
+
+def _process(n: int, seed: int, trial: int, top: float) -> list[tuple[float, int]]:
+    """The (uniform, pair index) pairs of trial ``trial`` with uniform
+    below ``top``, in increasing order (ties by pair index).
+
+    The uniforms are those of ``pair_uniforms(n, seed, trial)``, read in
+    one pass without storing the ones above ``top``; index i names pair
+    i of ``pair_order(n)``.  Sorted this way, the draw is the trial's
+    random graph process up to ``top``: G(n, p) for any p <= top is the
+    prefix of pairs with uniform below p.
+    """
+    pairs = n * (n - 1) // 2 if n > 0 else 0  # no pairs to name for a negative n either
+    stream = itertools.starmap(trial_rng(seed, trial).random, itertools.repeat((), pairs))
+    draw = [(u, i) for i, u in enumerate(stream) if u < top]
+    draw.sort()
+    return draw
+
+
+def _pairs(n: int, draw: Iterable[tuple[float, int]]) -> Iterator[tuple[int, int]]:
+    """The pair (a, b) of ``pair_order(n)`` named by each index of ``draw``, in its order."""
+    # row a of ``pair_order(n)``, the pairs (a, b > a), starts at offsets[a]
+    offsets = [a * (2 * n - a - 1) // 2 for a in range(n)]
+    for _, i in draw:
+        a = bisect.bisect_right(offsets, i) - 1
+        yield a, i - offsets[a] + a + 1
 
 
 def sample_gnp(n: int, p, seed: int, trial: int = 0) -> Graph:
     """One binomial random graph: each pair kept independently with
     probability p, driven by the named per-trial stream."""
-    return _sample(n, pair_uniforms(n, seed, trial), p)
+    p = _probability(p)
+    return Graph.of(n, _pairs(n, _process(n, seed, trial, p)))
 
 
 @dataclass(frozen=True)
@@ -141,21 +169,15 @@ def containment_column(
     """
     if pattern.e == 0 or pattern.n > n:
         return [pattern.n <= n] * len(ps)
-    us = pair_uniforms(n, seed, trial)
-    top = max(ps, default=0.0)
-    kept = sorted([i for i, u in enumerate(us) if u < top], key=us.__getitem__)
-    # pair i of ``pair_order(n)`` is (a, b): row a, the pairs (a, b > a),
-    # starts at offsets[a]
-    offsets = [a * (2 * n - a - 1) // 2 for a in range(n)]
+    draw = _process(n, seed, trial, max(ps, default=0.0))
+    need = pattern.e
     adj: list[set[int]] = [set() for _ in range(n)]
     tau = math.inf
-    for added, i in enumerate(kept, 1):
-        a = bisect.bisect_right(offsets, i) - 1
-        b = i - offsets[a] + a + 1
+    for added, ((u, _), (a, b)) in enumerate(zip(draw, _pairs(n, draw)), 1):
         adj[a].add(b)
         adj[b].add(a)
-        if added >= pattern.e and has_copy_through(pattern, plans, n, adj, (a, b)):
-            tau = us[i]
+        if added >= need and has_copy_through(pattern, plans, n, adj, (a, b)):
+            tau = u
             break
     return [tau < p for p in ps]
 
@@ -184,14 +206,21 @@ def arrow_column(
 ) -> list[bool | None]:
     """Whether trial ``trial`` of G(n, p) arrows (h1, h2), for each p in ``ps``.
 
-    The trial's uniforms are drawn once; each grid point keeps the pairs
-    below its p and runs ``arrows`` on that sample.  A sample with more
-    than ``edge_cap`` edges is undecided (None), never guessed.
+    Every p is checked first, then the trial is drawn once up to
+    max(ps).  A grid point's edge count is the number of drawn uniforms
+    below its p; a sample with more than ``edge_cap`` edges is undecided
+    (None), never guessed, and is not built.  Any other sample is the
+    prefix of the draw below p, decided by ``arrows``.
     """
-    us = pair_uniforms(n, seed, trial)
-    samples = (_sample(n, us, p) for p in ps)
+    ps = [_probability(p) for p in ps]
+    draw = _process(n, seed, trial, max(ps, default=0.0))
+    us = [u for u, _ in draw]
+    sizes = [bisect.bisect_left(us, p) for p in ps]
+    longest = max((m for m in sizes if m <= edge_cap), default=0)
+    edges = list(itertools.islice(_pairs(n, draw), longest))
     return [
-        None if g.e > edge_cap else arrows(g, h1, h2, edge_budget=edge_cap).arrows for g in samples
+        None if m > edge_cap else arrows(Graph.of(n, edges[:m]), h1, h2, edge_budget=edge_cap).arrows
+        for m in sizes
     ]
 
 

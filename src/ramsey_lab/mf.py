@@ -290,16 +290,16 @@ def construction_upper_bound(
 
     Star versus forest uses the complete-tree construction sized by the
     star and the completed pattern; constellation versus short forest
-    uses the height-3 tree.  Both are lazy, so only n is read.  The
-    bound is tagged verified only when the star tree has at most
-    ``edge_budget`` edges; only then is its graph built and replayed
-    through the exhaustive decision.
+    uses the height-3 tree.  Both are lazy, so only n is read, and the
+    star tree is not refused for its size.  The bound is tagged verified
+    only when the star tree has at most ``edge_budget`` edges; only then
+    is its graph built and replayed through the exhaustive decision.
     """
     _check_scope(h1, h2)
     h1, h2 = strip_isolated(h1), strip_isolated(h2)
     verified = False
     if classify(h1).is_star:
-        plan = star_arrow_tree(h1.e, h2)
+        plan = star_arrow_tree(h1.e, h2, vertex_budget=None)
         tree = plan.tree
         desc = f"complete {plan.arity}-ary tree of height {plan.height}"
         if edge_budget is not None and tree.n - 1 <= edge_budget:

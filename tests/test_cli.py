@@ -63,6 +63,19 @@ def test_mf_command(capsys):
     assert "upper: 2/3" in out and "exact: true" in out
 
 
+def test_star_construction_above_the_vertex_budget_is_a_fallback_not_a_refusal(capsys):
+    """The star construction tree is lazy, so its size bounds m_F without
+    being built, even far above the budget that guards its graph."""
+    code, out, err = run(capsys, "mf", "--h1", "K1,4", "--h2", "P6", "--vertex-budget", "3")
+    assert (code, err) == (0, "")
+    lines = out.splitlines()
+    assert "upper: 17895696/17895697" in lines and "upper-verified: false" in lines
+    assert lines[-1] == "level-4: incomplete (fell back to complete 16-ary tree of height 6)"
+    code, out, err = run(capsys, "threshold", "--h1", "K1,4", "--h2", "P6", "--vertex-budget", "3")
+    assert (code, err) == (0, "")
+    assert out.startswith("exponent in [-3/2, -17895697/17895696];")
+
+
 def test_f_of_h_command(capsys):
     code, out, _ = run(capsys, "f-of-h", "P3")
     assert code == 0 and out.splitlines()[0] == "f = 3"

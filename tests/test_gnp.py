@@ -17,12 +17,14 @@ from ramsey_lab.gnp import (
     arrow_sweep,
     containment_column,
     containment_sweep,
+    _process,
+    pair_order,
     pair_uniforms,
     parse_p_grid,
     rows_to_csv,
     sample_gnp,
 )
-from ramsey_lab.graphs import edge_orbit_plans, matching, parse_graph, path, star
+from ramsey_lab.graphs import Graph, edge_orbit_plans, matching, parse_graph, path, star
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -33,8 +35,14 @@ def test_extreme_probabilities():
 
 
 def test_probability_validated():
-    with pytest.raises(DomainError):
-        sample_gnp(5, 1.5, seed=0)
+    for p in (1.5, -0.25, math.inf, -math.inf, math.nan):
+        with pytest.raises(DomainError, match=r"edge probability must lie in \[0, 1\]"):
+            sample_gnp(5, p, seed=0)
+        with pytest.raises(DomainError, match=r"edge probability must lie in \[0, 1\]"):
+            arrow_probability(5, p, star(2), star(2), trials=3, seed=0)
+        # a bad point is refused even after a good one
+        with pytest.raises(DomainError, match=r"edge probability must lie in \[0, 1\]"):
+            arrow_column(5, star(2), star(2), [0.5, p], 0, 0, 10)
 
 
 def test_determinism_across_calls():
@@ -254,6 +262,60 @@ def test_arrow_column_matches_per_p_search(h1, h2, n, grid, cap):
         assert any(None in column for column in columns)
 
 
+# a cut-off for the draw: 0, 1, any float, or an int k standing for the
+# trial's own k-th uniform (modulo the pair count), which the strict
+# comparison u < top must leave out
+cut_offs = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0), st.integers(0, 10**4))
+
+
+def _cut_off(top, us: list[float]) -> float:
+    if isinstance(top, float):
+        return top
+    return us[top % len(us)] if us else 0.0
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(st.integers(0, 30), st.integers(0, 2**32), st.integers(0, 50), cut_offs)
+@example(30, 5, 2, 17)
+@example(1, 0, 0, 0)
+def test_process_is_the_sorted_filtered_stream(n, seed, trial, top):
+    us = pair_uniforms(n, seed, trial)
+    top = _cut_off(top, us)
+    assert _process(n, seed, trial, top) == sorted((u, i) for i, u in enumerate(us) if u < top)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(st.integers(0, 30), st.integers(0, 2**32), st.integers(0, 50), cut_offs)
+@example(20, 7, 3, 100)
+def test_sample_gnp_keeps_the_pairs_below_p(n, seed, trial, p):
+    us = pair_uniforms(n, seed, trial)
+    p = _cut_off(p, us)
+    expect = Graph.of(n, [e for e, u in zip(pair_order(n), us) if u < p])
+    assert sample_gnp(n, p, seed, trial) == expect
+
+
+ARROW_PAIRS = [("K1,2", "K1,2"), ("K1,2", "P3"), ("K3", "P3"), ("M2", "K1,2"), ("K2", "K2")]
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(
+    st.integers(0, 8),
+    st.sampled_from(ARROW_PAIRS),
+    st.lists(cut_offs, max_size=5),
+    st.integers(0, 2**16),
+    st.integers(0, 50),
+    st.integers(0, 12),
+)
+@example(8, ("K1,2", "P3"), [1.0, 0.0, 0.4, 0.4], 3, 1, 12)
+@example(8, ("K1,2", "K1,2"), [5, 9, 5, 0.0], 2, 4, 6)
+@example(6, ("K3", "P3"), [], 0, 0, 0)
+def test_arrow_column_property(n, pair, grid, seed, trial, cap):
+    h1, h2 = (parse_graph(spec) for spec in pair)
+    us = pair_uniforms(n, seed, trial)
+    grid = [_cut_off(p, us) for p in grid]
+    assert arrow_column(n, h1, h2, grid, seed, trial, cap) == arrow_column_oracle(n, h1, h2, grid, seed, trial, cap)
+
+
 def test_containment_sweep_empty_grid():
     assert containment_sweep(parse_graph("K3"), 10, [], 5, seed=1) == []
 
@@ -263,6 +325,8 @@ def test_negative_trials_and_vertex_count_refused():
         containment_sweep(parse_graph("K3"), 10, [0.5], -3, seed=0)
     with pytest.raises(DomainError):
         containment_sweep(parse_graph("K3"), -1, [0.5], 3, seed=0)
+    with pytest.raises(DomainError, match="vertex count must be non-negative"):
+        sample_gnp(-3, 0.9, seed=0)
     with pytest.raises(DomainError):
         arrow_probability(5, 0.5, star(2), star(2), trials=-1, seed=0)
     # refused up front, even when no trial would build a sample

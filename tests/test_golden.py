@@ -81,6 +81,8 @@ CASES = {
         "mf", "--h1", "K1,2", "--h2", "P3", "--vertex-budget", "5", "--copies-cap", "1",
         "--edge-budget", "8",
     ],
+    # a star construction tree far above the vertex budget, read lazily
+    "mf_star4_P6_fallback": ["mf", "--h1", "K1,4", "--h2", "P6", "--vertex-budget", "3"],
     "ramsey_number_cherry_P3_budget": [
         "ramsey-number", "--h1", "K1,2", "--h2", "P3", "--n-max", "6", "--edge-budget", "10",
     ],
