@@ -22,7 +22,7 @@ from ramsey_lab import (
 )
 
 plan = star_arrow_tree(2, parse_graph("P3"))
-print(f"star s=2 vs P3: complete {plan.arity}-ary tree of height {plan.height},"
+print(f"star s=2 vs P3: complete {plan.tree.d}-ary tree of height {plan.tree.h},"
       f" {plan.tree.n} vertices")
 rainbow = Colouring.rainbow(plan.tree.graph)
 emb = greedy_rainbow_embed(plan.tree, rainbow, plan.rooted_completion)

@@ -151,8 +151,8 @@ def _construct(args) -> None:
         if args.s is None or args.h2 is None:
             raise DomainError("star-arrow needs --s and --h2")
         plan = star_arrow_tree(args.s, load_graph(args.h2))
-        print(f"arity = {plan.arity}")
-        print(f"height = {plan.height}")
+        print(f"arity = {plan.tree.d}")
+        print(f"height = {plan.tree.h}")
         print(f"vertices = {plan.tree.n}")
         print(f"pattern-root = {plan.rooted_completion.root}")
         if args.edges:

@@ -4,8 +4,12 @@ Every construction here has a machine-checkable postcondition.  Avoiding
 colourings are replayed through the copy finders (``graphs.avoids``).
 Every copy a construction finds is a ``graphs.Embedding`` whose ``kind``
 names its colour constraint, and it is replayed by
-``graphs.verify_witness`` before it is returned.  Guaranteed searches
-surface an assertion violation rather than ever missing silently.
+``graphs.verify_witness`` before it is returned; the height-3 search
+replays once, on whichever branch produced its witness.  The witness
+searches read a vertex's neighbours through one grouping step,
+``_by_colour``, which lists them by the colour of the connecting edge,
+colours in order of first appearance.  Guaranteed searches surface an
+assertion violation rather than ever missing silently.
 """
 
 from __future__ import annotations
@@ -13,7 +17,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .errors import ConstructionStall, DomainError
 from .graphs import (
@@ -24,13 +28,27 @@ from .graphs import (
     avoids,
     contains,
     find_monochromatic_copy,
-    norm_edge,
     path,
     star_forest,
     verify_witness,
 )
 from .densities import classify
-from .trees import DEFAULT_VERTEX_BUDGET, CompleteAryTree, RootedTree, complete_ary_tree
+from .trees import (
+    DEFAULT_VERTEX_BUDGET,
+    CompleteAryTree,
+    LayeredTree,
+    RootedTree,
+    complete_ary_tree,
+)
+
+
+def _by_colour(fn, v: int, nbrs: Iterable[int]) -> dict[int, list[int]]:
+    """The neighbours ``nbrs`` of v grouped by the colour of their edge
+    to v, colours in order of first appearance."""
+    groups: dict[int, list[int]] = {}
+    for w in nbrs:
+        groups.setdefault(fn(v, w), []).append(w)
+    return groups
 
 
 # ---------------------------------------------------------------------------
@@ -129,12 +147,11 @@ def component_mono_colouring(f: Graph) -> Colouring:
 @dataclass(frozen=True)
 class StarArrowTree:
     """A complete tree forced to contain a monochromatic star or a
-    rainbow copy of the completed pattern forest."""
+    rainbow copy of the completed pattern forest.  Its arity and height
+    are ``tree.d`` and ``tree.h``; the completion is
+    ``rooted_completion.graph``."""
 
     tree: CompleteAryTree
-    arity: int
-    height: int
-    completion: Graph          # the pattern forest completed to a tree
     rooted_completion: RootedTree
 
 
@@ -173,7 +190,7 @@ def star_arrow_tree(
     ell = completion.e
     arity = (s - 1) * (ell - 1) + 1
     tree = complete_ary_tree(arity, rooted.height, vertex_budget)
-    return StarArrowTree(tree, arity, rooted.height, completion, rooted)
+    return StarArrowTree(tree, rooted)
 
 
 def greedy_rainbow_embed(tree, chi, pattern: RootedTree | CompleteAryTree) -> Embedding | None:
@@ -196,14 +213,11 @@ def greedy_rainbow_embed(tree, chi, pattern: RootedTree | CompleteAryTree) -> Em
         if not kids:
             continue
         host = mapping[u]
-        fresh: dict[int, int] = {}
-        for w in tree.child_list(host):
-            c = fn(*norm_edge(host, w))
-            if c not in used and c not in fresh:
-                fresh[c] = w
+        groups = _by_colour(fn, host, tree.child_list(host))
+        fresh = [(c, ws[0]) for c, ws in groups.items() if c not in used]
         if len(fresh) < len(kids):
             return None
-        for (c, w), k in zip(sorted(fresh.items())[: len(kids)], kids):
+        for (c, w), k in zip(sorted(fresh)[: len(kids)], kids):
             mapping[k] = w
             used.add(c)
     emb = Embedding(pattern.graph, tuple(mapping), "rainbow")
@@ -216,9 +230,7 @@ def find_monochromatic_star(tree, chi, s: int) -> Embedding | None:
     replayed monochromatic copy of the s-edge star."""
     fn = as_colour_fn(chi)
     for v in tree.vertices():
-        groups: dict[int, list[int]] = {}
-        for w in tree.neighbours(v):
-            groups.setdefault(fn(*norm_edge(v, w)), []).append(w)
+        groups = _by_colour(fn, v, tree.neighbours(v))
         for c in sorted(groups):
             if len(groups[c]) >= s:
                 leaves = sorted(groups[c])[:s]
@@ -239,103 +251,104 @@ def constellation_arrow_tree(s: int) -> CompleteAryTree:
     return CompleteAryTree(6 * s**3 + 7 * s**2, 3)
 
 
-class _ClaimMono(Exception):
-    """Raised internally when the star-collection step pigeonholes into
-    s disjoint same-coloured stars, i.e. a monochromatic witness."""
-
-    def __init__(self, colour: int, stars: list[tuple[int, list[int]]]):
-        self.colour = colour
-        self.stars = stars
+_Star = tuple[int, int, list[int]]  # (colour, centre, leaves)
 
 
-def _collect_stars(tree, fn, pool: Sequence[int], s: int) -> list[tuple[int, int, list[int]]] | None:
+def _collect_stars(tree, fn, pool: Sequence[int], s: int) -> list[_Star] | Embedding | None:
     """2s vertex-disjoint monochromatic child-stars of distinct colours,
     centred at low-colour-degree vertices of the pool.
 
-    Returns a list of (colour, centre, leaves) or None when fewer than
-    2s^2+1 pool vertices have colour-degree below 3s (the caller then
-    has a large supply of high-colour-degree vertices instead).  Raises
-    _ClaimMono when the collected stars span too few colours, which
-    pins s disjoint stars of one colour.
+    Returns the stars, or None when fewer than 2s^2+1 pool vertices
+    have colour-degree below 3s (the caller then has a large supply of
+    high-colour-degree vertices instead).  When the collected stars
+    span too few colours, s of them share one colour, and that
+    monochromatic copy is returned instead.
     """
     star_size = 2 * s * s + 3 * s
-    low: list[int] = []
-    for v in pool:
-        incident = {fn(*norm_edge(v, w)) for w in tree.neighbours(v)}
-        if len(incident) <= 3 * s - 1:
-            low.append(v)
+    low = [v for v in pool if len(_by_colour(fn, v, tree.neighbours(v))) <= 3 * s - 1]
     if len(low) < 2 * s * s + 1:
         return None
-    stars: list[tuple[int, int, list[int]]] = []
+    by_colour: dict[int, list[tuple[int, list[int]]]] = {}
     for v in low:
-        groups: dict[int, list[int]] = {}
-        for w in tree.child_list(v):
-            groups.setdefault(fn(*norm_edge(v, w)), []).append(w)
+        groups = _by_colour(fn, v, tree.child_list(v))
         colour, leaves = max(groups.items(), key=lambda kv: (len(kv[1]), -kv[0]))
         if len(leaves) < star_size:
             raise AssertionError("low colour-degree centre lacks a large monochromatic star")
-        stars.append((colour, v, sorted(leaves)[:star_size]))
-    by_colour: dict[int, list[tuple[int, list[int]]]] = {}
-    for colour, v, leaves in stars:
-        by_colour.setdefault(colour, []).append((v, leaves))
+        by_colour.setdefault(colour, []).append((v, sorted(leaves)[:star_size]))
     if len(by_colour) >= 2 * s:
-        picked = []
-        for c in sorted(by_colour)[: 2 * s]:
-            v, leaves = min(by_colour[c], key=lambda t: t[0])
-            picked.append((c, v, leaves))
-        return picked
+        return [(c, *min(by_colour[c])) for c in sorted(by_colour)[: 2 * s]]
     # too few colours across >= 2s^2+1 disjoint stars: some colour repeats
     # at least s+1 times
     colour = max(by_colour, key=lambda c: (len(by_colour[c]), -c))
-    raise _ClaimMono(colour, sorted(by_colour[colour])[:s])
+    stars = sorted(by_colour[colour])[:s]
+    if len(stars) < s:
+        raise AssertionError("pigeonhole produced fewer stars than promised")
+    mapping = [x for v, leaves in stars for x in (v, *leaves[:s])]
+    return Embedding(star_forest([s] * s), tuple(mapping), "monochromatic")
+
+
+def _first_fresh(stars: list[_Star], used: set[int], where: str) -> _Star:
+    """The first of the stars whose colour is not in ``used``."""
+    for star in stars:
+        if star[0] not in used:
+            return star
+    raise AssertionError(f"ran out of fresh star colours {where}")
+
+
+def _claim_cherries(tree, fn, s: int) -> Embedding | Sequence[int]:
+    """The star-collection branch of the height-3 search.
+
+    Returns a copy, either monochromatic (collected stars pigeonholed
+    into one colour) or s rainbow cherries, each centred one level below
+    a star of fresh colour.  Otherwise returns the pool, the root's
+    children or one star's leaves, where too few vertices have low
+    colour-degree; the cherry greedy then runs on it.
+    """
+    pool = tree.child_list(tree.root)
+    top = _collect_stars(tree, fn, pool, s)
+    if not isinstance(top, list):
+        return pool if top is None else top
+    used: set[int] = set()
+    mapping: list[int] = []
+    for _ in range(s):
+        colour_i, v_i, w_i = _first_fresh(top, used, "at the top level")
+        sub = _collect_stars(tree, fn, w_i, s)
+        if not isinstance(sub, list):
+            return w_i if sub is None else sub
+        colour_z, z_i, z_leaves = _first_fresh(sub, used | {colour_i}, "one level down")
+        mapping += [z_i, v_i, z_leaves[0]]  # cherry centred at z_i
+        used.update({colour_i, colour_z})
+    return Embedding(star_forest([2] * s), tuple(mapping), "rainbow")
 
 
 def _greedy_rainbow_cherries(tree, fn, pool: Sequence[int], s: int) -> Embedding | None:
     """Backtracking greedy for s vertex-disjoint cherries with 2s
     pairwise distinct colours.
 
-    The pool is any set of probed vertices; whenever the star
-    collection fails it contains well over 3s vertices of colour-degree
-    at least 3s, which is what makes the greedy feasible."""
+    Centres are tried in increasing order; each offers the two least of
+    its first three fresh colours, in neighbour order.  The pool is any
+    set of probed vertices; whenever the star collection fails it
+    contains well over 3s vertices of colour-degree at least 3s, which
+    is what makes the greedy feasible."""
     centres = sorted(set(pool))
 
-    def build(i: int, used_v: set[int], used_c: set[int], acc: list[tuple[int, int, int]]):
-        if i == s:
-            return list(acc)
+    def build(used_v: set[int], used_c: set[int], acc: list[int]) -> Embedding | None:
+        if len(acc) == 3 * s:
+            return Embedding(star_forest([2] * s), tuple(acc), "rainbow")
         for v in centres:
             if v in used_v:
                 continue
-            options: dict[int, int] = {}
-            for w in tree.neighbours(v):
-                if w in used_v:
-                    continue
-                c = fn(*norm_edge(v, w))
-                if c in used_c or c in options:
-                    continue
-                options[c] = w
-                if len(options) > 2:
-                    break
-            if len(options) < 2:
+            groups = _by_colour(fn, v, [w for w in tree.neighbours(v) if w not in used_v])
+            fresh = [(c, ws[0]) for c, ws in groups.items() if c not in used_c][:3]
+            if len(fresh) < 2:
                 continue
-            (c1, w1), (c2, w2) = sorted(options.items())[:2]
-            got = build(
-                i + 1,
-                used_v | {v, w1, w2},
-                used_c | {c1, c2},
-                acc + [(v, w1, w2)],
-            )
+            (c1, w1), (c2, w2) = sorted(fresh)[:2]
+            got = build(used_v | {v, w1, w2}, used_c | {c1, c2}, acc + [v, w1, w2])
             if got is not None:
                 return got
         return None
 
-    cherries = build(0, set(), set(), [])
-    if cherries is None:
-        return None
-    pattern = star_forest([2] * s)
-    mapping: list[int] = []
-    for v, w1, w2 in cherries:
-        mapping += [v, w1, w2]
-    return Embedding(pattern, tuple(mapping), "rainbow")
+    return build(set(), set(), [])
 
 
 def find_mono_or_rainbow(tree, chi, s: int) -> Embedding:
@@ -345,74 +358,26 @@ def find_mono_or_rainbow(tree, chi, s: int) -> Embedding:
 
     The search is local: it only ever inspects the root's children,
     the leaf sets of a few monochromatic stars, and their children, so
-    it runs lazily on trees with hundreds of thousands of vertices.
-    Failure to produce a verifiable witness is an assertion violation,
-    never a silent miss.
+    it runs lazily on trees with hundreds of thousands of vertices.  A
+    host that is not a lazy ``LayeredTree`` of height 3 with every
+    level at least 6s^3+7s^2 wide is refused.  Failure to produce a verifiable witness is an
+    assertion violation, never a silent miss.
     """
     if s < 2:
         raise DomainError("constellation parameter must be >= 2")
     d = 6 * s**3 + 7 * s**2
-    if tree.height != 3 or len(tree.child_list(tree.root)) < d:
+    if not isinstance(tree, LayeredTree) or tree.height != 3 or min(tree.widths) < d:
         raise DomainError("host must be the height-3 constellation arrow tree")
     fn = as_colour_fn(chi)
-    fallback_pool: list[int] = []
-
-    def mono_witness(colour: int, stars: list[tuple[int, list[int]]]) -> Embedding:
-        if len(stars) < s:
-            raise AssertionError("pigeonhole produced fewer stars than promised")
-        pattern = star_forest([s] * s)
-        mapping: list[int] = []
-        for v, leaves in stars[:s]:
-            mapping += [v] + leaves[:s]
-        w = Embedding(pattern, tuple(mapping), "monochromatic")
-        verify_witness(tree, chi, w)
-        return w
-
-    def claim_path() -> Embedding | None:
-        try:
-            top = _collect_stars(tree, fn, list(tree.child_list(tree.root)), s)
-        except _ClaimMono as hit:
-            return mono_witness(hit.colour, hit.stars)
-        if top is None:
-            fallback_pool.extend(tree.child_list(tree.root))
-            return None
-        used: set[int] = set()
-        mapping: list[int] = []
-        for _ in range(s):
-            colour_i, v_i, w_i = next(
-                ((c, v, l) for c, v, l in top if c not in used), (None, None, None)
-            )
-            if colour_i is None:
-                raise AssertionError("ran out of fresh star colours at the top level")
-            try:
-                sub = _collect_stars(tree, fn, w_i, s)
-            except _ClaimMono as hit:
-                return mono_witness(hit.colour, hit.stars)
-            if sub is None:
-                fallback_pool.extend(w_i)
-                return None
-            colour_z, z_i, z_leaves = next(
-                ((c, v, l) for c, v, l in sub if c not in used and c != colour_i),
-                (None, None, None),
-            )
-            if colour_z is None:
-                raise AssertionError("ran out of fresh star colours one level down")
-            mapping += [z_i, v_i, z_leaves[0]]  # cherry centred at z_i
-            used.update({colour_i, colour_z})
-        w = Embedding(star_forest([2] * s), tuple(mapping), "rainbow")
-        verify_witness(tree, chi, w)
-        return w
-
-    witness = claim_path()
-    if witness is None:
-        witness = _greedy_rainbow_cherries(tree, fn, fallback_pool, s)
-        if witness is not None:
-            verify_witness(tree, chi, witness)
+    witness = _claim_cherries(tree, fn, s)
+    if not isinstance(witness, Embedding):
+        witness = _greedy_rainbow_cherries(tree, fn, witness, s)
     if witness is None:
         raise AssertionError(
             "height-3 witness search failed on both branches; the host does not"
             " satisfy the construction's hypotheses"
         )
+    verify_witness(tree, chi, witness)
     return witness
 
 
@@ -435,20 +400,19 @@ class RainbowTreeParams:
 
 def rainbow_tree_params(d: int, h: int) -> RainbowTreeParams:
     """The recursion: base (1/2, 1/(2(d+1)), d-1) at height one; a step
-    at height h combines the base at arity 2d^h with the step at h-1
-    via b = b''c'/2, c = c'c''/2, r = max(r', r'')."""
+    at height k combines the base at arity 2d^k with the step at k-1
+    via b = b''c'/2, c = c'c''/2, r = max(r', r''), for k = 2, ..., h."""
     if d < 2 or h < 1:
         raise DomainError("need arity >= 2 and height >= 1")
-    if h == 1:
-        return RainbowTreeParams(Fraction(1, 2), Fraction(1, 2 * (d + 1)), d - 1)
-    d1 = 2 * d**h
-    base = RainbowTreeParams(Fraction(1, 2), Fraction(1, 2 * (d1 + 1)), d1 - 1)
-    stepped = rainbow_tree_params(d, h - 1)
-    return RainbowTreeParams(
-        b=stepped.b * base.c / 2,
-        c=base.c * stepped.c / 2,
-        r=max(base.r, stepped.r),
-    )
+    stepped = RainbowTreeParams(Fraction(1, 2), Fraction(1, 2 * (d + 1)), d - 1)
+    for k in range(2, h + 1):
+        base = rainbow_tree_params(2 * d**k, 1)
+        stepped = RainbowTreeParams(
+            b=stepped.b * base.c / 2,
+            c=base.c * stepped.c / 2,
+            r=max(base.r, stepped.r),
+        )
+    return stepped
 
 
 @dataclass
@@ -469,15 +433,9 @@ def _extract_stars(g: Graph, fn, pool: list[int], arity: int, quota: int, stage:
     while len(stars) < quota:
         found = None
         for v in sorted(alive):
-            per_colour: dict[int, int] = {}
-            for w in g.adj[v]:
-                if w in alive and w != v:
-                    c = fn(*norm_edge(v, w))
-                    if c not in per_colour:
-                        per_colour[c] = w
-            if len(per_colour) >= arity:
-                leaves = [w for _, w in sorted(per_colour.items())[:arity]]
-                found = (v, *leaves)
+            groups = _by_colour(fn, v, [w for w in g.adj[v] if w in alive])
+            if len(groups) >= arity:
+                found = (v, *[groups[c][0] for c in sorted(groups)[:arity]])
                 break
         if found is None:
             raise ConstructionStall(
@@ -508,24 +466,18 @@ def _extract_rainbow_trees(g: Graph, fn, pool: list[int], d: int, h: int) -> lis
     extended: list[list[int]] = []
     low = CompleteAryTree(d, h - 1)
     for copy in inner:
-        used = {
-            fn(*norm_edge(copy[low.parent_of(i)], copy[i]))
-            for i in range(1, len(copy))
-        }
+        used = {fn(copy[low.parent_of(i)], copy[i]) for i in range(1, len(copy))}
         new_copy = list(copy)
         for i in range(low.level_offsets[h - 1], low.n):
             v = copy[i]
-            fresh: dict[int, int] = {}
-            for w in star_at[v][1:]:
-                c = fn(*norm_edge(v, w))
-                if c not in used and c not in fresh:
-                    fresh[c] = w
+            groups = _by_colour(fn, v, star_at[v][1:])
+            fresh = [(c, ws[0]) for c, ws in groups.items() if c not in used]
             if len(fresh) < d:
                 raise ConstructionStall(
                     f"extension below vertex {v} found only {len(fresh)} fresh colours",
                     stage=stage,
                 )
-            for c, w in sorted(fresh.items())[:d]:
+            for c, w in sorted(fresh)[:d]:
                 new_copy.append(w)
                 used.add(c)
         extended.append(new_copy)
@@ -566,7 +518,8 @@ def disjoint_rainbow_trees(
     fn = as_colour_fn(chi)
     quota = int(params.c * g.n)
     raw = _extract_rainbow_trees(g, fn, list(range(g.n)), d, h)
-    shape = CompleteAryTree(d, h).graph
+    # the shape's vertex budget would refuse a tall tree whose quota is 0
+    shape = CompleteAryTree(d, h).graph if raw else None
     copies = [Embedding(shape, tuple(copy), "rainbow") for copy in raw]
     seen: set[int] = set()
     for emb in copies:

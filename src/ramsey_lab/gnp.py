@@ -128,13 +128,15 @@ def _run_trials(
     False, or None for an undecided sample, which counts towards no
     estimate.  ``jobs`` > 1 spreads the trials over one process pool of
     at most ``os.cpu_count()`` workers; more workers than processors
-    would only contend for them.  A negative trial or vertex count is
-    refused before any trial runs.
+    would only contend for them.  A negative trial or vertex count, or a
+    grid point outside [0, 1], is refused before any trial runs.
     """
     if trials < 0:
         raise DomainError("trial count must be non-negative")
     if n < 0:
         raise DomainError("vertex count must be non-negative")
+    for p in ps:
+        _probability(p)
     jobs = min(jobs, os.cpu_count() or 1)
     if jobs > 1:
         with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:

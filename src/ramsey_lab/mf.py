@@ -299,9 +299,8 @@ def construction_upper_bound(
     h1, h2 = strip_isolated(h1), strip_isolated(h2)
     verified = False
     if classify(h1).is_star:
-        plan = star_arrow_tree(h1.e, h2, vertex_budget=None)
-        tree = plan.tree
-        desc = f"complete {plan.arity}-ary tree of height {plan.height}"
+        tree = star_arrow_tree(h1.e, h2, vertex_budget=None).tree
+        desc = f"complete {tree.d}-ary tree of height {tree.h}"
         if edge_budget is not None and tree.n - 1 <= edge_budget:
             if not arrows(tree.graph, h1, h2, edge_budget=edge_budget).arrows:
                 raise AssertionError("construction tree failed to arrow the pair")

@@ -187,9 +187,13 @@ def embed_rainbow_binary(host, chi, h: int) -> Embedding:
     host vertex offers at least 2^(i+2) colours when no three incident
     edges share one.  If the greedy stalls, the colouring contains a
     monochromatic three-edge star, and that witness is returned instead.
+    A host that is not a lazy ``LayeredTree``, or has fewer than
+    2^(i+3) children at some depth i < h, is refused.
     """
     if host.height < h:
         raise DomainError("host is shorter than the requested binary tree")
+    if not isinstance(host, LayeredTree) or any(host.widths[i] < 2 ** (i + 3) for i in range(h)):
+        raise DomainError("host must be a layered tree with 2^(i+3) children at each depth i < h")
     emb = greedy_rainbow_embed(host, chi, CompleteAryTree(2, h))
     if emb is None:
         emb = find_monochromatic_star(host, chi, 3)

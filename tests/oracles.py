@@ -415,3 +415,15 @@ def coded_trees_oracle(k: int) -> list[tuple[str, Graph]]:
             out.append((c, g))
         seq = _level_sequence_successor(seq)
     return out
+
+
+def rainbow_tree_params_oracle(d: int, h: int) -> tuple[Fraction, Fraction, int]:
+    """(b, c, r) of the disjoint-rainbow-tree recursion, computed
+    recursively as stated: the base (1/2, 1/(2(d+1)), d-1) at height one,
+    and at height h the base at arity 2d^h combined with height h-1."""
+    if h == 1:
+        return Fraction(1, 2), Fraction(1, 2 * (d + 1)), d - 1
+    d1 = 2 * d**h
+    base_c = Fraction(1, 2 * (d1 + 1))
+    b, c, r = rainbow_tree_params_oracle(d, h - 1)
+    return b * base_c / 2, base_c * c / 2, max(d1 - 1, r)

@@ -34,9 +34,9 @@ from ramsey_lab.graphs import (
     star_forest,
 )
 from ramsey_lab.tree_labels import lazy_descendant_colouring
-from ramsey_lab.trees import RootedTree
+from ramsey_lab.trees import LayeredTree, RootedTree
 
-from oracles import mix_colour, random_forest
+from oracles import mix_colour, rainbow_tree_params_oracle, random_forest
 
 
 def test_avoid_colouring_examples():
@@ -133,12 +133,12 @@ def test_spanning_tree_completion():
 
 def test_star_arrow_tree_shapes():
     plan = star_arrow_tree(2, path(3))
-    assert (plan.arity, plan.height, plan.tree.n) == (3, 3, 40)
+    assert (plan.tree.d, plan.tree.h, plan.tree.n) == (3, 3, 40)
     plan = star_arrow_tree(3, star(3))
-    assert (plan.arity, plan.height) == (5, 1)
+    assert (plan.tree.d, plan.tree.h) == (5, 1)
     plan = star_arrow_tree(2, matching(2))
-    assert plan.completion.e == 3
-    assert (plan.arity, plan.height, plan.tree.n) == (3, 2, 13)
+    assert plan.rooted_completion.graph.e == 3
+    assert (plan.tree.d, plan.tree.h, plan.tree.n) == (3, 2, 13)
 
 
 def test_star_arrow_tree_arrows_when_small():
@@ -288,6 +288,35 @@ def test_find_mono_or_rainbow_s3():
         chi = mix_colour(rng.randrange(1 << 30), rng.choice([2, 7, 40, 10**5]))
         w = find_mono_or_rainbow(t, chi, 3)
         verify_witness(t, chi, w)
+
+
+def test_find_mono_or_rainbow_refuses_narrow_levels():
+    # the root is wide enough, the levels below it are not
+    with pytest.raises(DomainError):
+        find_mono_or_rainbow(LayeredTree((76, 1, 1)), lambda u, v: 0, 2)
+    with pytest.raises(DomainError):
+        find_mono_or_rainbow(LayeredTree((76, 76, 75)), lambda u, v: min(u, v), 2)
+    with pytest.raises(DomainError):
+        find_mono_or_rainbow(LayeredTree((76, 76)), lambda u, v: 0, 2)
+    # an explicit tree carries no level widths to check
+    with pytest.raises(DomainError):
+        find_mono_or_rainbow(RootedTree.from_graph(star(80), 0), lambda u, v: 0, 2)
+
+
+def test_rainbow_tree_params_match_recursion():
+    for d in (2, 5):
+        for h in range(1, 41):
+            p = rainbow_tree_params(d, h)
+            assert (p.b, p.c, p.r) == rainbow_tree_params_oracle(d, h)
+
+
+def test_rainbow_tree_params_deep(low_recursion_limit):
+    p = rainbow_tree_params(2, 300)
+    assert p.r == 2 * 2**300 - 1
+    g = complete_graph(6)
+    rep = disjoint_rainbow_trees(g, Colouring.rainbow(g), 2, 300, parse_graph("K3"))
+    assert rep.params == p
+    assert (rep.quota, rep.copies, rep.mono) == (0, [], None)
 
 
 def test_rainbow_tree_params_recursion():

@@ -334,6 +334,15 @@ def test_negative_trials_and_vertex_count_refused():
         arrow_sweep(star(2), path(3), -1, [0.5], 0, seed=0)
 
 
+def test_sweep_grid_checked_up_front():
+    for bad in (1.5, -0.5, float("nan")):
+        with pytest.raises(DomainError, match=r"edge probability must lie in \[0, 1\]"):
+            containment_sweep(star(2), 5, [0.5, bad], 4, seed=0)
+        # refused even when no trial would draw a sample
+        with pytest.raises(DomainError, match=r"edge probability must lie in \[0, 1\]"):
+            arrow_sweep(star(2), path(3), 5, [bad], 0, seed=0)
+
+
 def test_parse_p_grid_errors():
     for spec in ("abc", "1/0", "0.5*n^x", "n^", "0.5,nan"):
         with pytest.raises(GraphParseError):

@@ -5,7 +5,9 @@ Each case runs ``cli.main`` in-process from inside ``tests/golden`` (so
 byte for byte.  ``cases.json`` holds the argv and exit code of each
 case, ``<name>.out`` its stdout.  The demos that replay witnesses
 (``demos/03``-``06``) run in-process with ``runpy`` and must reproduce
-``demo_<stem>.out``.  After a deliberate output change, re-record with
+``demo_<stem>.out``.  ``witnesses.json`` holds the kind and mapping of
+every copy the construction searches return on fixed hosts and
+colourings.  After a deliberate output change, re-record with
 ``PYTHONPATH=src python tests/test_golden.py --record`` and say why in
 the change log.
 """
@@ -18,11 +20,26 @@ import json
 import os
 import runpy
 import sys
+from functools import partial
 from pathlib import Path
 
 import pytest
 
 from ramsey_lab.cli import main
+from ramsey_lab.constructions import (
+    constellation_arrow_tree,
+    disjoint_rainbow_trees,
+    find_mono_or_rainbow,
+    find_monochromatic_star,
+    greedy_rainbow_embed,
+    star_arrow_tree,
+)
+from ramsey_lab.graphs import Colouring, Embedding, complete_graph, parse_graph, star
+from ramsey_lab.tree_labels import (
+    embed_rainbow_binary,
+    lazy_descendant_colouring,
+    rainbow_binary_host,
+)
 
 GOLDEN = Path(__file__).parent / "golden"
 DEMOS = Path(__file__).parent.parent / "demos"
@@ -97,6 +114,87 @@ DEMO_STEMS = [
 ]
 
 
+
+
+def _hashed(k: int):
+    return lambda u, v: (u * 2654435761 + v * 97193) % k
+
+
+COLOURINGS = {
+    "constant": lambda u, v: 0,
+    "min": min,
+    "max": max,
+    **{f"hash{k}": _hashed(k) for k in (2, 3, 5, 8, 20)},
+}
+
+
+def _witness_cases() -> dict:
+    """name -> zero-argument call of a construction search on a fixed host."""
+    cases = {}
+    for s in (2, 3):
+        tree = constellation_arrow_tree(s)
+        # a rainbow root, one star colour per depth-1 vertex and rainbow
+        # below: the star collection one level down has too few low
+        # colour-degree centres, so the cherry greedy takes over there
+        down = lambda u, v, d=tree.d: u if 0 < u <= d else v
+        for name, chi in {**COLOURINGS, "down": down}.items():
+            cases[f"mono_or_rainbow_s{s}_{name}"] = partial(find_mono_or_rainbow, tree, chi, s)
+    for s, h2 in [(2, "P3"), (3, "P3"), (2, "M2")]:
+        plan = star_arrow_tree(s, parse_graph(h2))
+        for name in ("constant", "min", "max", "hash2", "hash3", "hash5"):
+            chi = COLOURINGS[name]
+            cases[f"greedy_rainbow_s{s}_{h2}_{name}"] = partial(
+                greedy_rainbow_embed, plan.tree, chi, plan.rooted_completion
+            )
+            cases[f"mono_star_s{s}_{h2}_{name}"] = partial(
+                find_monochromatic_star, plan.tree, chi, s
+            )
+    for h in (2, 3):
+        host = rainbow_binary_host(h)
+        chis = {
+            "descendant": lazy_descendant_colouring(host),
+            "constant": COLOURINGS["constant"],
+            "hash20": COLOURINGS["hash20"],
+        }
+        for name, chi in chis.items():
+            cases[f"rainbow_binary_h{h}_{name}"] = partial(embed_rainbow_binary, host, chi, h)
+    k30, k12, t27 = complete_graph(30), complete_graph(12), parse_graph("T(2,7)")
+    k3 = parse_graph("K3")
+    cases["disjoint_h1_K30_hashed"] = partial(disjoint_rainbow_trees, k30, _hashed(10**9), 2, 1, k3)
+    cases["disjoint_h1_T27_rainbow"] = partial(
+        disjoint_rainbow_trees, t27, Colouring.rainbow(t27), 2, 1, k3
+    )
+    cases["disjoint_h1_K12_constant"] = partial(
+        disjoint_rainbow_trees, k12, Colouring.constant(k12), 2, 1, star(2)
+    )
+    # few colours: the first neighbour of each colour decides the leaves
+    cases["disjoint_h1_K30_hash5"] = partial(
+        disjoint_rainbow_trees, k30, _hashed(5), 2, 1, parse_graph("K1,10")
+    )
+    cases["disjoint_h1_T27_hash3"] = partial(disjoint_rainbow_trees, t27, _hashed(3), 2, 1, k3)
+    k220 = complete_graph(220)
+    cases["disjoint_h2_K220_hashed"] = partial(
+        disjoint_rainbow_trees, k220, _hashed(10**9), 2, 2, k3
+    )
+    cases["disjoint_h2_K220_hash50"] = partial(
+        disjoint_rainbow_trees, k220, _hashed(50), 2, 2, parse_graph("K1,30")
+    )
+    return cases
+
+
+def _witness(found):
+    """The kind and mapping of a found copy, a report's copies, or None."""
+    if isinstance(found, Embedding):
+        return {"kind": found.kind, "mapping": list(found.mapping)}
+    if found is None:
+        return None
+    return {"mono": _witness(found.mono), "copies": [_witness(c) for c in found.copies]}
+
+
+def _recorded_witnesses() -> dict:
+    return json.loads((GOLDEN / "witnesses.json").read_text(encoding="utf-8"))
+
+
 def _run(argv: list[str]) -> tuple[int, str]:
     out = io.StringIO()
     cwd = os.getcwd()
@@ -137,6 +235,15 @@ def test_golden_demo_stdout(stem):
     assert _run_demo(stem) == (GOLDEN / f"demo_{stem}.out").read_text(encoding="utf-8")
 
 
+def test_witness_cases_match_recorded_names():
+    assert sorted(_recorded_witnesses()) == sorted(_witness_cases())
+
+
+@pytest.mark.parametrize("name", sorted(_witness_cases()))
+def test_witness_golden(name):
+    assert _witness(_witness_cases()[name]()) == _recorded_witnesses()[name]
+
+
 def _record() -> None:
     os.environ.pop("RAMSEY_LAB_JOBS", None)
     cases = {}
@@ -147,6 +254,12 @@ def _record() -> None:
     (GOLDEN / "cases.json").write_text(json.dumps(cases, indent=1) + "\n", encoding="utf-8")
     for stem in DEMO_STEMS:
         (GOLDEN / f"demo_{stem}.out").write_text(_run_demo(stem), encoding="utf-8")
+    # one case a line, so a changed witness shows as a one-line diff
+    lines = [
+        f"{json.dumps(name)}: {json.dumps(_witness(call()))}"
+        for name, call in _witness_cases().items()
+    ]
+    (GOLDEN / "witnesses.json").write_text("{\n" + ",\n".join(lines) + "\n}\n", encoding="utf-8")
 
 
 if __name__ == "__main__":

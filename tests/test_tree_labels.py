@@ -22,7 +22,7 @@ from ramsey_lab.tree_labels import (
     path_product_at_least,
     rainbow_binary_host,
 )
-from ramsey_lab.trees import RootedTree
+from ramsey_lab.trees import CompleteAryTree, LayeredTree, RootedTree
 
 from oracles import mix_colour, random_tree
 
@@ -216,6 +216,22 @@ def test_embed_rainbow_binary():
     w = embed_rainbow_binary(host, lambda u, v: 0, 2)
     assert w.kind == "monochromatic"
     assert w.pattern == star(3)
+
+
+def test_embed_rainbow_binary_refuses_narrow_levels():
+    host = CompleteAryTree(2, 3)
+    with pytest.raises(DomainError):
+        embed_rainbow_binary(host, lazy_descendant_colouring(host), 2)
+    # depth 1 needs 2^4 children; the levels below the embedding are free
+    host = LayeredTree((8, 15, 1))
+    with pytest.raises(DomainError):
+        embed_rainbow_binary(host, lazy_descendant_colouring(host), 2)
+    host = LayeredTree((8, 16, 1))
+    assert embed_rainbow_binary(host, lazy_descendant_colouring(host), 2).kind == "rainbow"
+    # an explicit tree carries no level widths to check
+    host = RootedTree.from_graph(rainbow_binary_host(2).graph, 0)
+    with pytest.raises(DomainError):
+        embed_rainbow_binary(host, lambda u, v: u * 10**6 + v, 2)
 
 
 def test_embed_rainbow_binary_random_suite():
