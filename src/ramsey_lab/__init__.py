@@ -83,6 +83,6 @@ from .tree_labels import (
     path_product_at_least,
     rainbow_binary_host,
 )
-from .trees import CompleteAryTree, LayeredTree, RootedTree, complete_ary_tree
+from .trees import CompleteAryTree, LayeredTree, RootedTree
 
 __all__ = [name for name in dir() if not name.startswith("_")]

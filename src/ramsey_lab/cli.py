@@ -35,7 +35,7 @@ from .errors import (
 from .graphs import Colouring, Graph, parse_graph
 from .threshold import threshold
 from .tree_labels import descendant_colouring, min_max_path_product, rainbow_binary_host
-from .trees import RootedTree, complete_ary_tree
+from .trees import CompleteAryTree, LayeredTree, RootedTree
 
 
 def load_graph(spec: str) -> Graph:
@@ -146,39 +146,40 @@ def _colour(args) -> None:
         print(f"({u},{v}): {c}")
 
 
+def _ary_header(t: CompleteAryTree) -> dict[str, int]:
+    return {"arity": t.d, "height": t.h, "vertices": t.n}
+
+
+def _star_arrow(s: int, h2: str) -> tuple[LayeredTree, dict[str, int]]:
+    plan = star_arrow_tree(s, load_graph(h2))
+    return plan.tree, {**_ary_header(plan.tree), "pattern-root": plan.rooted_completion.root}
+
+
+def _binary_host(h: int) -> tuple[LayeredTree, dict[str, int]]:
+    t = rainbow_binary_host(h)
+    return t, {"vertices": t.n, "leaves": t.level_sizes[-1]}
+
+
+# construct kind -> (options it needs, builder of its lazy host and header from them)
+CONSTRUCT_KINDS = {
+    "star-arrow": (("s", "h2"), _star_arrow),
+    "constellation": (("s",), lambda s: (t := constellation_arrow_tree(s), _ary_header(t))),
+    "ary-tree": (("d", "height"), lambda d, h: (t := CompleteAryTree(d, h), {"vertices": t.n})),
+    "binary-host": (("height",), _binary_host),
+}
+
+
 def _construct(args) -> None:
-    if args.kind == "star-arrow":
-        if args.s is None or args.h2 is None:
-            raise DomainError("star-arrow needs --s and --h2")
-        plan = star_arrow_tree(args.s, load_graph(args.h2))
-        print(f"arity = {plan.tree.d}")
-        print(f"height = {plan.tree.h}")
-        print(f"vertices = {plan.tree.n}")
-        print(f"pattern-root = {plan.rooted_completion.root}")
-        if args.edges:
-            for u, v in plan.tree.graph.sorted_edges:
-                print(f"{u} {v}")
-    elif args.kind == "constellation":
-        if args.s is None:
-            raise DomainError("constellation needs --s")
-        t = constellation_arrow_tree(args.s)
-        print(f"arity = {t.d}")
-        print(f"height = {t.height}")
-        print(f"vertices = {t.n}")
-    elif args.kind == "ary-tree":
-        if args.d is None or args.height is None:
-            raise DomainError("ary-tree needs --d and --height")
-        t = complete_ary_tree(args.d, args.height)
-        print(f"vertices = {t.n}")
-        if args.edges:
-            for u, v in t.graph.sorted_edges:
-                print(f"{u} {v}")
-    else:
-        if args.height is None:
-            raise DomainError("binary-host needs --height")
-        t = rainbow_binary_host(args.height)
-        print(f"vertices = {t.n}")
-        print(f"leaves = {t.level_sizes[-1]}")
+    needs, build = CONSTRUCT_KINDS[args.kind]
+    values = [getattr(args, opt) for opt in needs]
+    if None in values:
+        raise DomainError(f"{args.kind} needs " + " and ".join(f"--{opt}" for opt in needs))
+    host, header = build(*values)
+    # the graph and the header text come first, so a refusal prints nothing
+    edges = host.graph.sorted_edges if args.edges else ()
+    print("\n".join(f"{key} = {value}" for key, value in header.items()))
+    for u, v in edges:
+        print(f"{u} {v}")
 
 
 def _sweep(args) -> None:
@@ -267,11 +268,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("construct", help="build one of the arrowing trees")
     p.set_defaults(run=_construct)
-    p.add_argument(
-        "--kind",
-        required=True,
-        choices=["star-arrow", "constellation", "ary-tree", "binary-host"],
-    )
+    p.add_argument("--kind", required=True, choices=list(CONSTRUCT_KINDS))
     p.add_argument("--s", type=int)
     p.add_argument("--h2")
     p.add_argument("--d", type=int)
@@ -312,6 +309,13 @@ def main(argv=None) -> int:
         return 2
     except (BudgetError, DomainError, OpenProblemError, ConstructionStall) as exc:
         print(f"refused: {exc}", file=sys.stderr)
+        return 1
+    except ValueError as exc:
+        # an int too long for the interpreter to print is refused like any size
+        if "integer string conversion" not in str(exc):
+            raise
+        digits = sys.get_int_max_str_digits()
+        print(f"refused: a count has more than {digits} digits to print", file=sys.stderr)
         return 1
     return 0
 

@@ -19,6 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
+from .arrows import ColourDegreeParams, check_colour_degree_property
 from .errors import ConstructionStall, DomainError
 from .graphs import (
     Colouring,
@@ -33,13 +34,7 @@ from .graphs import (
     verify_witness,
 )
 from .densities import classify
-from .trees import (
-    DEFAULT_VERTEX_BUDGET,
-    CompleteAryTree,
-    LayeredTree,
-    RootedTree,
-    complete_ary_tree,
-)
+from .trees import CompleteAryTree, LayeredTree, RootedTree
 
 
 def _by_colour(fn, v: int, nbrs: Iterable[int]) -> dict[int, list[int]]:
@@ -170,14 +165,13 @@ def spanning_tree_completion(forest: Graph) -> Graph:
     return forest.add_edges(extra)
 
 
-def star_arrow_tree(
-    s: int, h2: Graph, vertex_budget: int | None = DEFAULT_VERTEX_BUDGET
-) -> StarArrowTree:
+def star_arrow_tree(s: int, h2: Graph) -> StarArrowTree:
     """The complete ((s-1)(l-1)+1)-ary tree of the completion's height.
 
     Any colouring of it without a monochromatic s-edge star leaves, at
     every internal vertex, child edges in at least l distinct colours,
-    which is what the greedy rainbow embedding consumes.
+    which is what the greedy rainbow embedding consumes.  The tree is
+    lazy at any size; only its ``graph`` is refused above the budget.
     """
     if s < 1:
         raise DomainError("star size must be >= 1")
@@ -189,8 +183,7 @@ def star_arrow_tree(
     rooted = RootedTree.from_graph(completion, 0)
     ell = completion.e
     arity = (s - 1) * (ell - 1) + 1
-    tree = complete_ary_tree(arity, rooted.height, vertex_budget)
-    return StarArrowTree(tree, rooted)
+    return StarArrowTree(CompleteAryTree(arity, rooted.height), rooted)
 
 
 def greedy_rainbow_embed(tree, chi, pattern: RootedTree | CompleteAryTree) -> Embedding | None:
@@ -363,9 +356,7 @@ def find_mono_or_rainbow(tree, chi, s: int) -> Embedding:
     level at least 6s^3+7s^2 wide is refused.  Failure to produce a verifiable witness is an
     assertion violation, never a silent miss.
     """
-    if s < 2:
-        raise DomainError("constellation parameter must be >= 2")
-    d = 6 * s**3 + 7 * s**2
+    d = constellation_arrow_tree(s).d
     if not isinstance(tree, LayeredTree) or tree.height != 3 or min(tree.widths) < d:
         raise DomainError("host must be the height-3 constellation arrow tree")
     fn = as_colour_fn(chi)
@@ -448,11 +439,11 @@ def _extract_stars(g: Graph, fn, pool: list[int], arity: int, quota: int, stage:
     return stars
 
 
-def _extract_rainbow_trees(g: Graph, fn, pool: list[int], d: int, h: int) -> list[list[int]]:
+def _extract_rainbow_trees(g: Graph, fn, pool: list[int], d: int, h: int, c: Fraction):
     """Vertex maps (level-order) of floor(c|pool|) rainbow copies of the
-    complete d-ary tree of height h inside the pool."""
-    params = rainbow_tree_params(d, h)
-    quota = int(params.c * len(pool))
+    complete d-ary tree of height h inside the pool, c being the constant
+    of ``rainbow_tree_params(d, h)``."""
+    quota = int(c * len(pool))
     if quota == 0:
         return []
     stage = f"(d={d}, h={h})"
@@ -462,7 +453,8 @@ def _extract_rainbow_trees(g: Graph, fn, pool: list[int], d: int, h: int) -> lis
     base = rainbow_tree_params(d1, 1)
     stars = _extract_stars(g, fn, pool, d1, int(base.c * len(pool)), stage)
     star_at = {s[0]: s for s in stars}
-    inner = _extract_rainbow_trees(g, fn, sorted(star_at), d, h - 1)
+    # the step to height h multiplied the constant of height h-1 by base.c/2
+    inner = _extract_rainbow_trees(g, fn, sorted(star_at), d, h - 1, 2 * c / base.c)
     extended: list[list[int]] = []
     low = CompleteAryTree(d, h - 1)
     for copy in inner:
@@ -509,15 +501,13 @@ def disjoint_rainbow_trees(
     if verify_q and params.r >= 2:
         # the spread property is only defined for r >= 2; below that the
         # assumption stays on record instead of being checked loosely
-        from .arrows import ColourDegreeParams, check_colour_degree_property
-
         verdict = check_colour_degree_property(
             g, ColourDegreeParams(params.b, params.r, pattern)
         )
         q_status = "verified" if verdict.holds else "refuted"
     fn = as_colour_fn(chi)
     quota = int(params.c * g.n)
-    raw = _extract_rainbow_trees(g, fn, list(range(g.n)), d, h)
+    raw = _extract_rainbow_trees(g, fn, list(range(g.n)), d, h, params.c)
     # the shape's vertex budget would refuse a tall tree whose quota is 0
     shape = CompleteAryTree(d, h).graph if raw else None
     copies = [Embedding(shape, tuple(copy), "rainbow") for copy in raw]

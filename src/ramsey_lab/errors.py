@@ -37,3 +37,11 @@ class ConstructionStall(RamseyLabError):
     def __init__(self, message: str, stage: str | None = None):
         self.stage = stage
         super().__init__(message)
+
+
+def n_vertices(n: int) -> str:
+    """'n vertices', n bounded by a power of two past the digit limit."""
+    try:
+        return f"{n} vertices"
+    except ValueError:
+        return f"at least 2^{n.bit_length() - 1} vertices"

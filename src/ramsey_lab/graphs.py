@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from functools import cache, cached_property, lru_cache
 from typing import Callable, Iterable, Iterator, Mapping
 
-from .errors import DomainError, GraphParseError
+from .errors import DomainError, GraphParseError, n_vertices
 
 Edge = tuple[int, int]
 
@@ -536,7 +536,7 @@ def ary_tree_graph(d: int, h: int) -> Graph:
         raise GraphParseError("arity must be >= 1 and height >= 0")
     n = h + 1 if d == 1 else (d ** (h + 1) - 1) // (d - 1)
     if n > DSL_VERTEX_CAP:
-        raise DomainError(f"tree T({d},{h}) has {n} vertices, above the cap {DSL_VERTEX_CAP}")
+        raise DomainError(f"tree T({d},{h}) has {n_vertices(n)}, above the cap {DSL_VERTEX_CAP}")
     pairs = [((v - 1) // d, v) for v in range(1, n)]
     return Graph.of(n, pairs)
 
@@ -558,7 +558,10 @@ def _parse_atom(token: str) -> Graph:
     for family, build in _FAMILIES:
         m = family.match(token)
         if m:
-            return build(*m.groups())
+            try:
+                return build(*m.groups())
+            except ValueError:  # from int() alone: a number past the digit limit
+                raise GraphParseError("a number in the term is too long") from None
     raise GraphParseError("unknown graph family", token)
 
 

@@ -223,6 +223,9 @@ def solve(
     construction tree's.
     """
     _check_scope(h1, h2)
+    if copies_cap < 1:
+        # with no candidates every level would read as exhausted
+        raise DomainError("copies cap must be >= 1")
     h1, h2 = strip_isolated(h1), strip_isolated(h2)
 
     levels: list[LevelRecord] = []
@@ -290,8 +293,8 @@ def construction_upper_bound(
 
     Star versus forest uses the complete-tree construction sized by the
     star and the completed pattern; constellation versus short forest
-    uses the height-3 tree.  Both are lazy, so only n is read, and the
-    star tree is not refused for its size.  The bound is tagged verified
+    uses the height-3 tree.  Both are lazy, so only n is read, at any
+    size, like every lazy host.  The bound is tagged verified
     only when the star tree has at most ``edge_budget`` edges; only then
     is its graph built and replayed through the exhaustive decision.
     """
@@ -299,8 +302,7 @@ def construction_upper_bound(
     h1, h2 = strip_isolated(h1), strip_isolated(h2)
     verified = False
     if classify(h1).is_star:
-        tree = star_arrow_tree(h1.e, h2, vertex_budget=None).tree
-        desc = f"complete {tree.d}-ary tree of height {tree.h}"
+        tree = star_arrow_tree(h1.e, h2).tree
         if edge_budget is not None and tree.n - 1 <= edge_budget:
             if not arrows(tree.graph, h1, h2, edge_budget=edge_budget).arrows:
                 raise AssertionError("construction tree failed to arrow the pair")
@@ -313,5 +315,4 @@ def construction_upper_bound(
             2,
         )
         tree = constellation_arrow_tree(s)
-        desc = f"complete {tree.d}-ary tree of height 3"
-    return Fraction(tree.n - 1, tree.n), verified, desc
+    return Fraction(tree.n - 1, tree.n), verified, f"complete {tree.d}-ary tree of height {tree.h}"

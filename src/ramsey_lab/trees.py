@@ -3,9 +3,9 @@ rooted trees for patterns.
 
 Construction hosts (complete d-ary trees, the geometric-arity hosts)
 are ``LayeredTree``s, navigated arithmetically from the level-order
-numbering; their ``graph`` is built only to print or replay its edges,
-and refused above the vertex budget.  ``RootedTree`` roots an explicit
-tree: a pattern, a parsed forest, a labelling search's tree.  Both
+numbering at any size; only their ``graph``, built to print or replay
+edges, is refused above the vertex budget.  ``RootedTree`` roots an
+explicit tree: a pattern, a parsed forest, a labelling search's tree.  Both
 offer ``n``, ``root``, ``height``, ``graph``, ``parent_of``,
 ``child_list``, ``depth_of``, ``is_leaf``, ``has_edge``, ``vertices``;
 hosts also list a vertex's ``neighbours`` for the witness searches.
@@ -17,7 +17,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
 
-from .errors import BudgetError, DomainError
+from .errors import BudgetError, DomainError, n_vertices
 from .graphs import Graph, norm_edge
 
 DEFAULT_VERTEX_BUDGET = 1 << 20
@@ -151,12 +151,11 @@ class LayeredTree:
     def graph(self) -> Graph:
         """The explicit tree; refused above ``DEFAULT_VERTEX_BUDGET``."""
         if self.n > DEFAULT_VERTEX_BUDGET:
-            raise BudgetError(f"{self.n} vertices exceeds the budget of {DEFAULT_VERTEX_BUDGET}")
+            raise BudgetError(f"{n_vertices(self.n)} exceeds the budget of {DEFAULT_VERTEX_BUDGET}")
         return Graph.of(self.n, [(self.parent_of(v), v) for v in range(1, self.n)])
 
     def __repr__(self):
         return f"LayeredTree(widths={self.widths}, n={self.n})"
-
 
 class CompleteAryTree(LayeredTree):
     """Complete d-ary tree of height h, navigated lazily."""
@@ -170,14 +169,3 @@ class CompleteAryTree(LayeredTree):
 
     def __repr__(self):
         return f"CompleteAryTree(d={self.d}, h={self.h}, n={self.n})"
-
-
-def complete_ary_tree(d: int, h: int, vertex_budget: int | None = DEFAULT_VERTEX_BUDGET) -> CompleteAryTree:
-    """Complete d-ary tree of height h, navigated lazily; refuses above the budget."""
-    tree = CompleteAryTree(d, h)
-    if vertex_budget is not None and tree.n > vertex_budget:
-        raise BudgetError(
-            f"complete {d}-ary tree of height {h} has {tree.n} vertices,"
-            f" above the budget of {vertex_budget}"
-        )
-    return tree

@@ -104,6 +104,57 @@ def test_construct_binary_host_counts_leaves_past_a_machine_word(capsys):
     assert (code, out, err) == (0, f"vertices = {n}\nleaves = {2 ** 63}\n", "")
 
 
+def test_lazy_hosts_answer_at_any_size_and_only_edges_are_refused(capsys):
+    assert run(capsys, "construct", "--kind", "ary-tree", "--d", "2", "--height", "30") == (
+        0, "vertices = 2147483647\n", ""
+    )
+    code, out, err = run(capsys, "construct", "--kind", "star-arrow", "--s", "5", "--h2", "P8")
+    assert (code, err) == (0, "") and "vertices = 518112356281" in out.splitlines()
+    budget_line = "refused: {} vertices exceeds the budget of 1048576\n"
+    refusals = {
+        ("ary-tree", "--d", "2", "--height", "30"): budget_line.format(2147483647),
+        ("constellation", "--s", "3"): budget_line.format(11441476),
+    }
+    for argv, line in refusals.items():
+        assert run(capsys, "construct", "--kind", *argv, "--edges") == (1, "", line)
+
+
+def test_construct_edges_on_every_kind(capsys):
+    code, out, err = run(capsys, "construct", "--kind", "binary-host", "--height", "2", "--edges")
+    assert (code, err) == (0, "")
+    lines = out.splitlines()
+    assert lines[:2] == ["vertices = 137", "leaves = 128"]
+    # depth 0 has 8 children and each of them 16
+    edges = [f"0 {v}" for v in range(1, 9)] + [f"{1 + (v - 9) // 16} {v}" for v in range(9, 137)]
+    assert lines[2:] == edges
+
+
+def test_copies_cap_below_one_refused(capsys):
+    for command in ("mf", "threshold"):
+        argv = (command, "--h1", "K1,2", "--h2", "P3", "--copies-cap", "0")
+        assert run(capsys, *argv) == (1, "", "refused: copies cap must be >= 1\n")
+
+
+def test_numbers_past_the_digit_limit_are_refusals_not_tracebacks(capsys):
+    """The interpreter converts at most 4300 digits between int and str by
+    default; every count past that is refused, at exit 1, and every DSL
+    number past it is a parse error, at exit 2."""
+    printing = "refused: a count has more than 4300 digits to print\n"
+    cases = {
+        ("construct", "--kind", "ary-tree", "--d", "10", "--height", "5000"): (1, printing),
+        ("construct", "--kind", "binary-host", "--height", "300"): (1, printing),
+        ("construct", "--kind", "constellation", "--s", "1" + "0" * 500): (1, printing),
+        ("mf", "--h1", "K1,100", "--h2", "P3000"): (1, printing),
+        ("threshold", "--h1", "K1,100", "--h2", "P3000"): (1, printing),
+        ("density", "T(10,5000)"): (1, "refused: tree T(10,5000) has at least 2^16609 vertices,"
+                                       " above the cap 1000000\n"),
+        ("density", "K1," + "1" * 5000): (2, "parse error: a number in the term is too long\n"),
+        ("density", "P" + "1" * 5000): (2, "parse error: a number in the term is too long\n"),
+    }
+    for argv, (code, line) in cases.items():
+        assert run(capsys, *argv) == (code, "", line), argv[:3]
+
+
 def test_sweep_command_replays(capsys):
     argv = [
         "sweep", "--mode", "containment", "--h", "K3", "--n", "20",

@@ -141,6 +141,12 @@ def test_star_arrow_tree_shapes():
     assert (plan.tree.d, plan.tree.h, plan.tree.n) == (3, 2, 13)
 
 
+def test_star_arrow_tree_is_lazy_at_any_size():
+    plan = star_arrow_tree(5, path(8))
+    assert plan.tree.n == 518112356281
+    assert (plan.tree.d, plan.tree.h) == (29, 8)
+
+
 def test_star_arrow_tree_arrows_when_small():
     for s, h2 in [(2, path(2)), (3, path(2)), (2, star(3)), (3, star(3))]:
         plan = star_arrow_tree(s, h2)
@@ -207,17 +213,20 @@ def _star_witness(emb, s):
 
 def test_complete_ary_tree_shapes_and_budget():
     from ramsey_lab.errors import BudgetError
-    from ramsey_lab.trees import complete_ary_tree
+    from ramsey_lab.trees import CompleteAryTree
 
-    assert complete_ary_tree(2, 1).n == 3
-    assert complete_ary_tree(3, 2).n == 13
-    assert complete_ary_tree(2, 3).n == 15
-    assert complete_ary_tree(1, 4).n == 5
-    tree = complete_ary_tree(3, 2)
+    assert CompleteAryTree(2, 1).n == 3
+    assert CompleteAryTree(3, 2).n == 13
+    assert CompleteAryTree(2, 3).n == 15
+    assert CompleteAryTree(1, 4).n == 5
+    tree = CompleteAryTree(3, 2)
     assert all(len(tree.child_list(v)) == 3 for v in range(4))
     assert all(tree.depth_of(v) == 2 for v in range(4, 13) if tree.is_leaf(v))
-    with pytest.raises(BudgetError):
-        complete_ary_tree(10, 3, vertex_budget=100)
+    # a lazy tree answers at any size; only its explicit graph is refused
+    tree = CompleteAryTree(2, 30)
+    assert tree.n == 2147483647
+    with pytest.raises(BudgetError, match="^2147483647 vertices exceeds the budget of 1048576$"):
+        tree.graph
 
 
 def test_constellation_tree_parameters():
@@ -327,6 +336,26 @@ def test_rainbow_tree_params_recursion():
     assert p.r == 7
     assert p.c == Fraction(1, 18) * Fraction(1, 6) / 2
     assert p.b == Fraction(1, 2) * Fraction(1, 18) / 2
+
+
+def test_disjoint_rainbow_trees_computes_the_constants_once(monkeypatch):
+    import ramsey_lab.constructions as constructions
+
+    calls = []
+    original = constructions.rainbow_tree_params
+
+    def counted(d, h):
+        calls.append((d, h))
+        return original(d, h)
+
+    monkeypatch.setattr(constructions, "rainbow_tree_params", counted)
+    for g, h, quota in ((complete_graph(6), 40, 0), (complete_graph(220), 2, 1)):
+        calls.clear()
+        rep = disjoint_rainbow_trees(g, mix_colour(3, 10**9), 2, h, parse_graph("K3"))
+        assert rep.quota == quota and len(rep.copies) == quota
+        # heights above one are stepped once, at the top; lower heights
+        # only ask for the one-level base constants
+        assert [call for call in calls if call[1] > 1] == [(2, h)]
 
 
 def test_disjoint_rainbow_trees_on_rainbow_clique():

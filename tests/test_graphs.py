@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ramsey_lab.errors import BudgetError, GraphParseError
+from ramsey_lab.errors import BudgetError, DomainError, GraphParseError
 from ramsey_lab.graphs import (
     Colouring,
     Embedding,
@@ -274,6 +274,18 @@ def test_lazy_hosts_navigate_like_their_explicit_trees():
 def test_lazy_host_graph_is_budgeted():
     with pytest.raises(BudgetError, match="2097151 vertices exceeds the budget of 1048576"):
         CompleteAryTree(2, 20).graph
+
+
+def test_counts_past_the_digit_limit_are_refused_not_raised():
+    # 10^5000 has more digits than the interpreter prints by default
+    n = CompleteAryTree(10, 5000).n
+    with pytest.raises(BudgetError, match=rf"^at least 2\^{n.bit_length() - 1} vertices exceeds"):
+        CompleteAryTree(10, 5000).graph
+    with pytest.raises(DomainError, match=r"^tree T\(10,5000\) has at least 2\^"):
+        parse_graph("T(10,5000)")
+    for spec in ("K1," + "1" * 5000, "P" + "1" * 5000, "SF(2," + "1" * 5000 + ")"):
+        with pytest.raises(GraphParseError, match="a number in the term is too long"):
+            parse_graph(spec)
 
 
 def test_avoids_is_both_finders():

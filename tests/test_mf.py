@@ -81,6 +81,14 @@ def test_construction_bound_constellation():
     assert 0 < bound < 1
 
 
+def test_copies_cap_below_one_refused():
+    # with no candidates every level would read as exhausted and the
+    # lower bound would pass the verified witness at level 5
+    for cap in (0, -1):
+        with pytest.raises(DomainError, match="copies cap must be >= 1"):
+            solve(star(2), path(3), copies_cap=cap)
+
+
 def test_scope_enforced():
     with pytest.raises(DomainError):
         solve(parse_graph("P3"), star(2))  # pattern 1 neither star nor constellation
