@@ -8,7 +8,11 @@ finders locate a monochromatic or a rainbow embedded copy of a pattern
 graph; both use subgraph (not induced) semantics.  Every found copy,
 here or in a construction, is one ``Embedding`` record whose ``kind``
 says which colour constraint it meets; ``verify_witness`` replays one
-and ``avoids`` checks that a colouring has neither kind of copy.
+and ``avoids`` checks that a colouring has neither kind of copy.  Given
+a ``Colouring``, the rainbow finder answers None without a search when
+there are fewer colours than pattern edges, and the monochromatic
+finder reads the colour classes the colouring holds; neither exit
+changes a verdict or the copy found.
 
 All copy finders share one backtracking search, ``_search``.  It runs on
 an explicit stack, so its depth does not grow with the pattern, and it
@@ -27,7 +31,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import cache, cached_property, lru_cache
-from typing import Callable, Iterable, Iterator, Mapping
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .errors import DomainError, GraphParseError, n_vertices
 
@@ -426,22 +430,22 @@ def find_monochromatic_copy(host: Graph, chi: "ColourLike", pattern: Graph) -> E
 
     Colour classes are tried in ascending id order.  A pattern without
     edges is vacuously monochromatic and only needs enough host
-    vertices.
+    vertices.  A ``Colouring`` over the host's own edge order holds its
+    classes already (canonical ids ascend in first-seen order), so they
+    are read from it instead of looking up every edge's colour.
     """
     if pattern.e == 0:
         m = _search(pattern, host.n, host.adj, None)
         return Embedding(pattern, m, "monochromatic") if m is not None else None
-    fn = as_colour_fn(chi)
-    classes: dict[int, list[Edge]] = {}
-    order: list[int] = []
-    for u, v in host.sorted_edges:
-        c = fn(u, v)
-        if c not in classes:
-            classes[c] = []
-            order.append(c)
-        classes[c].append((u, v))
-    for c in order:
-        edges = classes[c]
+    if isinstance(chi, Colouring) and chi.edges == host.sorted_edges:
+        classes: Iterable[Sequence[Edge]] = chi.classes()
+    else:
+        fn = as_colour_fn(chi)
+        by_colour: dict[int, list[Edge]] = {}
+        for u, v in host.sorted_edges:
+            by_colour.setdefault(fn(u, v), []).append((u, v))
+        classes = by_colour.values()
+    for edges in classes:
         if len(edges) < pattern.e:
             continue
         adj: list[set[int]] = [set() for _ in range(host.n)]
@@ -455,7 +459,13 @@ def find_monochromatic_copy(host: Graph, chi: "ColourLike", pattern: Graph) -> E
 
 
 def find_rainbow_copy(host: Graph, chi: "ColourLike", pattern: Graph) -> Embedding | None:
-    """A copy of ``pattern`` whose image edges have pairwise distinct colours."""
+    """A copy of ``pattern`` whose image edges have pairwise distinct colours.
+
+    A ``Colouring`` with fewer colours than the pattern has edges has no
+    rainbow copy by pigeonhole, so no search runs.
+    """
+    if isinstance(chi, Colouring) and chi.n_colours < pattern.e:
+        return None
     fn = as_colour_fn(chi) if pattern.e else None
     m = _search(pattern, host.n, host.adj, fn)
     return Embedding(pattern, m, "rainbow") if m is not None else None
@@ -541,27 +551,40 @@ def ary_tree_graph(d: int, h: int) -> Graph:
     return Graph.of(n, pairs)
 
 
-# family terms as (regex, builder of the matched groups), tried in order:
-# a star K1,s is matched before the complete graphs K(n)
+def _check_cap(what: str, n: int, e: int) -> None:
+    """Refuse a DSL graph above ``DSL_VERTEX_CAP`` vertices or edges,
+    from its counts alone, before anything is built."""
+    if n > DSL_VERTEX_CAP:
+        raise DomainError(f"{what} has {n_vertices(n)}, above the cap {DSL_VERTEX_CAP}")
+    if e > DSL_VERTEX_CAP:
+        raise DomainError(f"{what} has {e} edges, above the cap {DSL_VERTEX_CAP}")
+
+
+# family terms as (regex, (vertices, edges) of the term's numbers, builder of
+# those numbers), tried in order: a star K1,s is matched before the complete
+# graphs K(n); the trees' builder holds them to the cap itself
 _FAMILIES = (
-    (re.compile(r"^K1,(\d+)$"), lambda s: star(int(s))),
-    (re.compile(r"^K(\d+)$"), lambda n: complete_graph(int(n))),
-    (re.compile(r"^P(\d+)$"), lambda k: path(int(k))),
-    (re.compile(r"^M(\d+)$"), lambda k: matching(int(k))),
-    (re.compile(r"^SF\((\d+(?:,\d+)*)\)$"), lambda sizes: star_forest(map(int, sizes.split(",")))),
-    (re.compile(r"^T\((\d+),(\d+)\)$"), lambda d, h: ary_tree_graph(int(d), int(h))),
-    (re.compile(r"^B(\d+)$"), lambda h: ary_tree_graph(2, int(h))),
+    (re.compile(r"^K1,(\d+)$"), lambda s: (s + 1, s), star),
+    (re.compile(r"^K(\d+)$"), lambda n: (n, n * (n - 1) // 2), complete_graph),
+    (re.compile(r"^P(\d+)$"), lambda k: (k + 1, k), path),
+    (re.compile(r"^M(\d+)$"), lambda k: (2 * k, k), matching),
+    (re.compile(r"^SF\((\d+(?:,\d+)*)\)$"), lambda *s: (sum(s) + len(s), sum(s)), lambda *s: star_forest(s)),
+    (re.compile(r"^T\((\d+),(\d+)\)$"), None, ary_tree_graph),
+    (re.compile(r"^B(\d+)$"), None, lambda h: ary_tree_graph(2, h)),
 )
 
 
 def _parse_atom(token: str) -> Graph:
-    for family, build in _FAMILIES:
+    for family, size, build in _FAMILIES:
         m = family.match(token)
         if m:
             try:
-                return build(*m.groups())
-            except ValueError:  # from int() alone: a number past the digit limit
+                nums = [int(x) for group in m.groups() for x in group.split(",")]
+            except ValueError:  # a number past the digit limit
                 raise GraphParseError("a number in the term is too long") from None
+            if size is not None:
+                _check_cap(f"term {token}", *size(*nums))
+            return build(*nums)
     raise GraphParseError("unknown graph family", token)
 
 
@@ -598,7 +621,9 @@ def parse_graph(text: str) -> Graph:
     Edge lists are ``n; u v; u v`` with ``;`` or newlines as separators
     and ``#`` comments.  Family terms join components with ``+``.
     Vertex numbering is deterministic: roots/centres first, then level
-    order, with later components shifted past earlier ones.
+    order, with later components shifted past earlier ones.  A term, or
+    the union so far, above ``DSL_VERTEX_CAP`` vertices or edges is
+    refused from its counts before it is built.
     """
     text = text.strip()
     if not text:
@@ -611,7 +636,9 @@ def parse_graph(text: str) -> Graph:
         token = token.strip()
         if not token:
             raise GraphParseError("empty term in disjoint union", text)
-        g = g.disjoint_union(_parse_atom(token))
+        atom = _parse_atom(token)
+        _check_cap("the union", g.n + atom.n, g.e + atom.e)
+        g = g.disjoint_union(atom)
     return g
 
 

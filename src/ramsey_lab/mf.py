@@ -16,7 +16,10 @@ Each level's candidates are built from the tree catalogue of
 instead of once per level, and every ``arrows`` call on the same
 pattern pair reuses the pattern's cached search plans.  Neither cache
 depends on a candidate forest or a verdict, so certificates are the
-same as without them.
+same as without them.  A candidate carries its name, joined from the
+names of the catalogue shapes it is built from, so no candidate is
+re-coded to be named; every refutation of it is still replayed on the
+whole forest.
 """
 
 from __future__ import annotations
@@ -46,25 +49,28 @@ def strip_isolated(g: Graph) -> Graph:
 
 
 def describe_forest(f: Graph) -> str:
-    names = []
-    for comp in f.components:
-        sub = f.induced(comp)
-        names.append(_tree_name(sub))
-    names.sort(key=lambda s: (len(s), s))
-    return "+".join(names) if names else "empty"
+    return _join_names([_tree_name(f.induced(comp)) for comp in f.components])
 
 
-def _tree_name(t: Graph) -> str:
-    n, degs = t.n, sorted(t.degree(v) for v in range(t.n))
+def _tree_name(t: Graph, code: str | None = None) -> str:
+    """Name of a tree from its order and largest degree; trees that are
+    neither stars nor paths are named by their canonical code, which is
+    computed only then unless the caller already holds it."""
+    n = t.n
     if n == 1:
         return "K1"
     if n == 2:
         return "K2"
-    if degs[-1] == n - 1:
+    if t.max_degree == n - 1:
         return f"K1,{n - 1}"
-    if degs[-1] == 2:
+    if t.max_degree == 2:
         return f"P{n - 1}"
-    return f"tree{tree_code(t)}"
+    return f"tree{tree_code(t) if code is None else code}"
+
+
+def _join_names(names: list[str]) -> str:
+    names.sort(key=lambda s: (len(s), s))
+    return "+".join(names) if names else "empty"
 
 
 @dataclass
@@ -162,38 +168,46 @@ def _sound_level_reason(h1: Graph, h2: Graph, k: int) -> str | None:
 
 
 def _cheap_refutation(f: Graph, h1: Graph, h2: Graph) -> str | None:
-    """A named avoiding colouring for this specific forest, replay-verified."""
-    schemes = [
-        ("single-colour", Colouring.constant(f)),
-        ("all-rainbow", Colouring.rainbow(f)),
-        ("component-monochromatic", component_mono_colouring(f)),
-    ]
-    for name, chi in schemes:
-        if avoids(f, chi, h1, h2):
+    """A named avoiding colouring for this specific forest, replay-verified;
+    each scheme's colouring is built only if the ones before it fail."""
+    schemes = (
+        ("single-colour", Colouring.constant),
+        ("all-rainbow", Colouring.rainbow),
+        ("component-monochromatic", component_mono_colouring),
+    )
+    for name, colouring in schemes:
+        if avoids(f, colouring(f), h1, h2):
             return name
     return None
 
 
-def _level_candidates(k: int, copies_cap: int, vertex_budget: int) -> list[Graph]:
-    """Forests whose largest component has exactly k vertices: multisets
-    of tree shapes on 2..k vertices with bounded multiplicity, ordered
-    by total order and then canonical component codes."""
-    shapes = [(size, code, t) for size in range(2, k + 1) for code, t in _coded_trees(size)]
+def _level_candidates(k: int, copies_cap: int, vertex_budget: int) -> list[tuple[str, Graph]]:
+    """Forests whose largest component has exactly k vertices, each with
+    its name: multisets of tree shapes on 2..k vertices with bounded
+    multiplicity, ordered by total order and then canonical component
+    codes.
+
+    Shapes come from the catalogue ``_coded_trees`` with their codes, so
+    each is named once here, and a forest's name, which equals
+    ``describe_forest`` of it, joins its shapes' names.  A forest is one
+    ``Graph.of`` over its shapes' edges shifted by their offsets, which
+    labels vertices as chaining ``disjoint_union`` does.
+    """
+    shapes = [
+        (size, code, t, _tree_name(t, code))
+        for size in range(2, k + 1)
+        for code, t in _coded_trees(size)
+    ]
     shapes.sort(key=lambda s: (s[0], s[1]))
-    out: list[tuple[int, tuple[str, ...], Graph]] = []
+    found: list[tuple[int, tuple[str, ...], list[int]]] = []
     # each stack entry is a multiset of shapes: (next shape index, vertices
     # used, (shape index, copies) pairs); its extensions add later shapes
     stack: list[tuple[int, int, tuple[tuple[int, int], ...]]] = [(0, 0, ())]
     while stack:
         start, total, chosen = stack.pop()
         if chosen and shapes[chosen[-1][0]][0] == k:
-            forest = Graph.of(0)
-            codes = []
-            for j, c in chosen:
-                for _ in range(c):
-                    forest = forest.disjoint_union(shapes[j][2])
-                    codes.append(shapes[j][1])
-            out.append((forest.n, tuple(codes), forest))
+            picks = [j for j, c in chosen for _ in range(c)]
+            found.append((total, tuple(shapes[j][1] for j in picks), picks))
         for j in range(start, len(shapes)):
             size = shapes[j][0]
             if total + size > vertex_budget:
@@ -203,8 +217,17 @@ def _level_candidates(k: int, copies_cap: int, vertex_budget: int) -> list[Graph
                     break
                 stack.append((j + 1, total + c * size, chosen + ((j, c),)))
 
-    out.sort(key=lambda item: (item[0], item[1]))
-    return [g for _, _, g in out]
+    found.sort(key=lambda item: (item[0], item[1]))
+    out = []
+    for total, _, picks in found:
+        pairs: list[tuple[int, int]] = []
+        offset = 0
+        for j in picks:
+            size, _, t, _ = shapes[j]
+            pairs += [(u + offset, v + offset) for u, v in t.edges]
+            offset += size
+        out.append((_join_names([shapes[j][3] for j in picks]), Graph.of(total, pairs)))
+    return out
 
 
 def solve(
@@ -237,20 +260,19 @@ def solve(
             continue
         refuted: list[str] = []
         refusals: list[str] = []
-        for cand in _level_candidates(k, copies_cap, vertex_budget):
-            name = describe_forest(cand)
+        for name, cand in _level_candidates(k, copies_cap, vertex_budget):
             scheme = _cheap_refutation(cand, h1, h2)
             if scheme is not None:
                 refuted.append(f"{name} [{scheme}]")
             elif edge_budget is not None and cand.e > edge_budget:
                 refusals.append(name)
             elif arrows(cand, h1, h2, edge_budget=edge_budget).arrows:
-                witness = cand
+                witness, witness_name = cand, name
                 break
             else:
                 refuted.append(f"{name} [exhausted]")
         if witness is not None:
-            status, reason = "witness", f"{describe_forest(witness)} arrows the pair"
+            status, reason = "witness", f"{witness_name} arrows the pair"
         elif refusals:
             status, reason = "incomplete", "some candidates exceeded the colouring budget"
         else:

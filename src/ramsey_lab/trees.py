@@ -155,7 +155,7 @@ class LayeredTree:
         return Graph.of(self.n, [(self.parent_of(v), v) for v in range(1, self.n)])
 
     def __repr__(self):
-        return f"LayeredTree(widths={self.widths}, n={self.n})"
+        return f"LayeredTree(widths={self.widths}, {n_vertices(self.n)})"
 
 class CompleteAryTree(LayeredTree):
     """Complete d-ary tree of height h, navigated lazily."""
@@ -168,4 +168,4 @@ class CompleteAryTree(LayeredTree):
         super().__init__((d,) * h)
 
     def __repr__(self):
-        return f"CompleteAryTree(d={self.d}, h={self.h}, n={self.n})"
+        return f"CompleteAryTree(d={self.d}, h={self.h}, {n_vertices(self.n)})"

@@ -8,14 +8,16 @@ deduplicating with a backtracking isomorphism test, arrowing by
 testing every prefix of a colouring search with ``naive_copy``,
 containment and arrow sweeps by a fresh sample and a full search per
 grid point, the embedding search by the recursion it had before its
-candidate filter, and the tree catalogue by coding every rooted level
-sequence again.  None of it shares code paths with the package
-algorithms it validates (the arrow-sweep oracle checks the sweep's
-bookkeeping and calls ``arrows``, which has its own reference above;
-the search oracle takes the package's placement plan, which fixes the
-order in which copies are found; the catalogue oracle reuses the
-level-sequence successor and ``tree_code``, which the catalogue only
-stores).
+candidate filter, the tree catalogue by coding every rooted level
+sequence again, a level's forest candidates by chaining
+``disjoint_union`` over every shape multiset, and the copy finders'
+first copies without their exits.  None of it shares code paths with
+the package algorithms it validates (the arrow-sweep oracle checks the
+sweep's bookkeeping and calls ``arrows``, which has its own reference
+above; the search oracle takes the package's placement plan, which
+fixes the order in which copies are found, and the finder oracle takes
+that plan too; the catalogue oracle reuses the level-sequence successor
+and ``tree_code``, which the catalogue only stores).
 """
 
 from __future__ import annotations
@@ -415,6 +417,63 @@ def coded_trees_oracle(k: int) -> list[tuple[str, Graph]]:
             out.append((c, g))
         seq = _level_sequence_successor(seq)
     return out
+
+
+def level_candidates_oracle(k: int, copies_cap: int, vertex_budget: int) -> list[Graph]:
+    """The forests of level k built one shape copy at a time with
+    ``disjoint_union``: shapes on 2..k vertices from ``coded_trees_oracle``
+    in (order, code) order, every multiset with at most ``copies_cap``
+    copies of each shape and at most ``vertex_budget`` vertices whose
+    largest shape has k vertices, sorted by order and then by the shapes'
+    codes."""
+    shapes = sorted(
+        ((size, c, t) for size in range(2, k + 1) for c, t in coded_trees_oracle(size)),
+        key=lambda s: (s[0], s[1]),
+    )
+    out = []
+
+    def walk(i: int, total: int, picked: list) -> None:
+        if i == len(shapes) or total + shapes[i][0] > vertex_budget:
+            if picked and picked[-1][0] == k:
+                forest = Graph.of(0)
+                for _, _, t in picked:
+                    forest = forest.disjoint_union(t)
+                out.append((total, tuple(c for _, c, _ in picked), forest))
+            return
+        for copies in range(copies_cap + 1):
+            if total + copies * shapes[i][0] > vertex_budget:
+                break
+            walk(i + 1, total + copies * shapes[i][0], picked + [shapes[i]] * copies)
+
+    walk(0, 0, [])
+    out.sort(key=lambda item: (item[0], item[1]))
+    return [forest for _, _, forest in out]
+
+
+def copy_finder_oracle(host: Graph, chi, pattern: Graph, kind: str) -> tuple[int, ...] | None:
+    """The vertex map ``find_monochromatic_copy`` ("mono") or
+    ``find_rainbow_copy`` ("rainbow") returns, found without their exits:
+    colour classes gathered by looking up every edge's colour and tried in
+    first-seen order, and a rainbow search whatever the number of colours,
+    each by ``search_oracle`` over the pattern's plan."""
+    from ramsey_lab.graphs import _plan
+
+    plan = _plan(pattern)
+    if kind == "rainbow" or pattern.e == 0:
+        colour = chi.colour_of if kind == "rainbow" and pattern.e else None
+        return search_oracle(pattern, host.n, host.adj, colour, plan)
+    classes: dict[int, list] = {}
+    for u, v in host.sorted_edges:
+        classes.setdefault(chi.colour_of(u, v), []).append((u, v))
+    for edges in classes.values():
+        adj = [set() for _ in range(host.n)]
+        for u, v in edges:
+            adj[u].add(v)
+            adj[v].add(u)
+        m = search_oracle(pattern, host.n, adj, None, plan)
+        if m is not None:
+            return m
+    return None
 
 
 def rainbow_tree_params_oracle(d: int, h: int) -> tuple[Fraction, Fraction, int]:

@@ -155,6 +155,16 @@ def test_numbers_past_the_digit_limit_are_refusals_not_tracebacks(capsys):
         assert run(capsys, *argv) == (code, "", line), argv[:3]
 
 
+def test_dsl_terms_above_the_cap_are_refusals(capsys):
+    # refused from the term's counts, so nothing the size of the star is built
+    assert run(capsys, "density", "K1,30000000") == (
+        1, "", "refused: term K1,30000000 has 30000001 vertices, above the cap 1000000\n"
+    )
+    assert run(capsys, "density", "K2000") == (
+        1, "", "refused: term K2000 has 1999000 edges, above the cap 1000000\n"
+    )
+
+
 def test_sweep_command_replays(capsys):
     argv = [
         "sweep", "--mode", "containment", "--h", "K3", "--n", "20",

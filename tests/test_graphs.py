@@ -1,8 +1,9 @@
 import itertools
 import random
+import tracemalloc
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ramsey_lab.errors import BudgetError, DomainError, GraphParseError
@@ -15,6 +16,7 @@ from ramsey_lab.graphs import (
     _search,
     avoids,
     colour_degree,
+    complete_graph,
     contains,
     edge_orbit_plans,
     enumerate_trees,
@@ -30,11 +32,13 @@ from ramsey_lab.graphs import (
     tree_code,
     verify_witness,
 )
+import ramsey_lab.graphs as graphs_module
 from ramsey_lab.trees import CompleteAryTree, LayeredTree, RootedTree
 
 from oracles import (
     brute_force_trees,
     coded_trees_oracle,
+    copy_finder_oracle,
     naive_copy,
     random_canonical_colouring,
     rooted_code_oracle,
@@ -276,6 +280,46 @@ def test_lazy_host_graph_is_budgeted():
         CompleteAryTree(2, 20).graph
 
 
+def test_dsl_terms_above_the_cap_are_refused_before_they_are_built():
+    refusals = {
+        "K1,30000000": "term K1,30000000 has 30000001 vertices, above the cap 1000000",
+        "K30000000": "term K30000000 has 30000000 vertices, above the cap 1000000",
+        "K1415": "term K1415 has 1000405 edges, above the cap 1000000",
+        "P30000000": "term P30000000 has 30000001 vertices, above the cap 1000000",
+        "M30000000": "term M30000000 has 60000000 vertices, above the cap 1000000",
+        "SF(2,30000000)": r"term SF\(2,30000000\) has 30000004 vertices, above the cap 1000000",
+    }
+    tracemalloc.start()
+    try:
+        for spec, message in refusals.items():
+            with pytest.raises(DomainError, match=f"^{message}$"):
+                parse_graph(spec)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # any of these graphs, built, would take hundreds of megabytes
+    assert peak < 1 << 20
+
+
+def test_dsl_cap_boundary_for_terms_and_unions(monkeypatch):
+    monkeypatch.setattr(graphs_module, "DSL_VERTEX_CAP", 10)
+    for spec in ("K1,9", "K5", "P9", "M5", "SF(4,4)", "P4+P4", "K4+K1,3"):
+        assert parse_graph(spec).n <= 10, spec
+    refusals = {
+        "K1,10": "term K1,10 has 11 vertices",
+        "K6": "term K6 has 15 edges",
+        "P10": "term P10 has 11 vertices",
+        "M6": "term M6 has 12 vertices",
+        "SF(4,5)": r"term SF\(4,5\) has 11 vertices",
+        "T(3,2)": r"tree T\(3,2\) has 13 vertices",
+        "P4+P5": "the union has 11 vertices",
+        "K4+K4+P1": "the union has 12 edges",
+    }
+    for spec, message in refusals.items():
+        with pytest.raises(DomainError, match=f"^{message}, above the cap 10$"):
+            parse_graph(spec)
+
+
 def test_counts_past_the_digit_limit_are_refused_not_raised():
     # 10^5000 has more digits than the interpreter prints by default
     n = CompleteAryTree(10, 5000).n
@@ -286,6 +330,15 @@ def test_counts_past_the_digit_limit_are_refused_not_raised():
     for spec in ("K1," + "1" * 5000, "P" + "1" * 5000, "SF(2," + "1" * 5000 + ")"):
         with pytest.raises(GraphParseError, match="a number in the term is too long"):
             parse_graph(spec)
+
+
+def test_tree_host_reprs_at_any_size():
+    assert repr(CompleteAryTree(2, 2)) == "CompleteAryTree(d=2, h=2, 7 vertices)"
+    assert repr(LayeredTree((3, 2))) == "LayeredTree(widths=(3, 2), 10 vertices)"
+    # 10^5000 has more digits than the interpreter prints by default
+    k = CompleteAryTree(10, 5000).n.bit_length() - 1
+    assert repr(CompleteAryTree(10, 5000)) == f"CompleteAryTree(d=10, h=5000, at least 2^{k} vertices)"
+    assert repr(LayeredTree((10,) * 5000)).endswith(f"10), at least 2^{k} vertices)")
 
 
 def test_avoids_is_both_finders():
@@ -334,6 +387,46 @@ def test_filtered_search_finds_the_unfiltered_first_copy(case):
             for pin in ((a, b), (b, a)):
                 for adj, fn in ((host.adj, None), (coloured, colour), (classes[colour(a, b)], None)):
                     assert _search(pattern, n, adj, fn, p, pin) == search_oracle(pattern, n, adj, fn, p, pin)
+
+
+FINDER_PATTERNS = (
+    Graph.of(2), path(1), path(2), path(3), path(4), star(3), matching(2),
+    complete_graph(3), parse_graph("K1,2+K2"),
+)
+
+
+@st.composite
+def finder_cases(draw):
+    """A host on at most 7 vertices, a colouring drawn from 1-4 colours,
+    and a pattern with 0-4 edges."""
+    n = draw(st.integers(1, 7))
+    edges = draw(st.sets(st.sampled_from(list(itertools.combinations(range(n), 2))))) if n > 1 else set()
+    host = Graph.of(n, edges)
+    palette = draw(st.integers(1, 4))
+    values = draw(st.lists(st.integers(0, palette - 1), min_size=host.e, max_size=host.e))
+    return host, Colouring.from_values(host, values), draw(st.sampled_from(FINDER_PATTERNS))
+
+
+_K4 = complete_graph(4)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(finder_cases())
+# fewer colours than pattern edges, where the rainbow finder exits at once
+@example((_K4, Colouring.constant(_K4), path(3)))
+@example((_K4, Colouring.from_values(_K4, [0, 1, 0, 1, 0, 1]), star(3)))
+# as many colours as pattern edges, where it has to search
+@example((_K4, Colouring.from_values(_K4, [0, 1, 2, 0, 1, 2]), complete_graph(3)))
+def test_finder_exits_keep_verdicts_and_first_copies(case):
+    host, chi, pattern = case
+    as_map = dict(zip(chi.edges, chi.colours))
+    for kind, find in (("mono", find_monochromatic_copy), ("rainbow", find_rainbow_copy)):
+        expected = copy_finder_oracle(host, chi, pattern, kind)
+        assert (expected is not None) == naive_copy(host, chi, pattern, kind)
+        # a Colouring takes the exits; a plain mapping takes none of them
+        for colouring in (chi, as_map):
+            emb = find(host, colouring, pattern)
+            assert (None if emb is None else emb.mapping) == expected, kind
 
 
 def test_search_depth_does_not_grow_with_the_pattern(low_recursion_limit):

@@ -16,6 +16,8 @@ from ramsey_lab.mf import (
 )
 from ramsey_lab.trees import LayeredTree
 
+from oracles import level_candidates_oracle
+
 
 def test_cherry_vs_cherry_exact():
     report = solve(star(2), star(2))
@@ -145,7 +147,15 @@ def test_level_candidates_depth_independent_of_shape_count():
         sys.setrecursionlimit(limit)
     # within a 10-vertex budget the only level-10 forests are the 106 trees
     assert len(candidates) == 106
-    assert all(g.n == 10 and g.e == 9 and len(g.components) == 1 for g in candidates)
+    assert all(g.n == 10 and g.e == 9 and len(g.components) == 1 for _, g in candidates)
+
+
+@pytest.mark.parametrize("k", range(2, 11))
+def test_level_candidates_match_chained_unions_and_carry_their_names(k):
+    candidates = _level_candidates(k, 3, 10)
+    # the same forests, in the same order, with the same vertex labels
+    assert [g for _, g in candidates] == level_candidates_oracle(k, 3, 10)
+    assert [name for name, _ in candidates] == [describe_forest(g) for _, g in candidates]
 
 
 def test_construction_bound_reads_the_tree_order_without_building_it(monkeypatch):
