@@ -124,10 +124,15 @@ class Graph:
         pairs = [(index[u], index[v]) for u, v in self.edges if u in index and v in index]
         return Graph.of(len(vs), pairs)
 
-    def disjoint_union(self, other: "Graph") -> "Graph":
-        shift = self.n
-        pairs = list(self.edges) + [(u + shift, v + shift) for u, v in other.edges]
-        return Graph.of(self.n + other.n, pairs)
+    def disjoint_union(self, *others: "Graph") -> "Graph":
+        """This graph and then ``others``, joined by one ``Graph.of`` call:
+        each part's vertices follow the previous part's, as in a chain of
+        two-graph unions, but no part's edges are copied more than once."""
+        pairs, n = list(self.edges), self.n
+        for g in others:
+            pairs += [(u + n, v + n) for u, v in g.edges]
+            n += g.n
+        return Graph.of(n, pairs)
 
     def add_edges(self, pairs: Iterable[tuple[int, int]]) -> "Graph":
         return Graph.of(self.n, list(self.edges) + [norm_edge(u, v) for u, v in pairs])
@@ -534,19 +539,19 @@ def matching(k: int) -> Graph:
 
 
 def star_forest(sizes: Iterable[int]) -> Graph:
-    g = Graph.of(0)
-    for s in sizes:
-        g = g.disjoint_union(star(s))
-    return g
+    return Graph.of(0).disjoint_union(*map(star, sizes))
 
 
 def ary_tree_graph(d: int, h: int) -> Graph:
     """Complete d-ary tree of height h, numbered root-first in level order."""
     if d < 1 or h < 0:
         raise GraphParseError("arity must be >= 1 and height >= 0")
+    # past about 2^20 bits d^(h+1) is not computed: d^h >= 2^k vertices
+    if d > 1 and (h + 1) * d.bit_length() > 1 << 20:
+        k = h * (d.bit_length() - 1)
+        raise DomainError(f"tree T({d},{h}) has at least 2^{k} vertices, above the cap {DSL_VERTEX_CAP}")
     n = h + 1 if d == 1 else (d ** (h + 1) - 1) // (d - 1)
-    if n > DSL_VERTEX_CAP:
-        raise DomainError(f"tree T({d},{h}) has {n_vertices(n)}, above the cap {DSL_VERTEX_CAP}")
+    _check_cap(f"tree T({d},{h})", n, n - 1)
     pairs = [((v - 1) // d, v) for v in range(1, n)]
     return Graph.of(n, pairs)
 
@@ -589,17 +594,15 @@ def _parse_atom(token: str) -> Graph:
 
 
 def _parse_edge_list(text: str) -> Graph:
-    items = []
-    for chunk in re.split(r"[;\n]", text):
-        chunk = chunk.split("#", 1)[0].strip()
-        if chunk:
-            items.append(chunk)
+    chunks = (chunk.split("#", 1)[0].strip() for chunk in re.split(r"[;\n]", text))
+    items = [chunk for chunk in chunks if chunk]
     if not items:
         raise GraphParseError("empty edge list")
     try:
         n = int(items[0])
     except ValueError:
         raise GraphParseError("edge list must start with a vertex count", items[0])
+    _check_cap("the edge list", n, len(items) - 1)
     pairs = []
     for item in items[1:]:
         parts = item.split()
@@ -623,23 +626,24 @@ def parse_graph(text: str) -> Graph:
     Vertex numbering is deterministic: roots/centres first, then level
     order, with later components shifted past earlier ones.  A term, or
     the union so far, above ``DSL_VERTEX_CAP`` vertices or edges is
-    refused from its counts before it is built.
+    refused from its counts before it is built, and so is an edge list;
+    the terms are joined by one ``disjoint_union`` call, in linear time.
     """
     text = text.strip()
     if not text:
         raise GraphParseError("empty graph specification")
-    head = re.split(r"[;\n]", text, 1)[0].split("#", 1)[0].strip()
+    head = re.split(r"[;\n]", text, maxsplit=1)[0].split("#", 1)[0].strip()
     if ";" in text or "\n" in text or (head and head[0].isdigit()):
         return _parse_edge_list(text)
-    g = Graph.of(0)
+    atoms, n, e = [], 0, 0
     for token in text.split("+"):
         token = token.strip()
         if not token:
             raise GraphParseError("empty term in disjoint union", text)
-        atom = _parse_atom(token)
-        _check_cap("the union", g.n + atom.n, g.e + atom.e)
-        g = g.disjoint_union(atom)
-    return g
+        atoms.append(_parse_atom(token))
+        n, e = n + atoms[-1].n, e + atoms[-1].e
+        _check_cap("the union", n, e)
+    return Graph.of(0).disjoint_union(*atoms)
 
 
 # ---------------------------------------------------------------------------

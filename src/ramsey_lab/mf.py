@@ -190,8 +190,7 @@ def _level_candidates(k: int, copies_cap: int, vertex_budget: int) -> list[tuple
     Shapes come from the catalogue ``_coded_trees`` with their codes, so
     each is named once here, and a forest's name, which equals
     ``describe_forest`` of it, joins its shapes' names.  A forest is one
-    ``Graph.of`` over its shapes' edges shifted by their offsets, which
-    labels vertices as chaining ``disjoint_union`` does.
+    ``disjoint_union`` call over its shapes, in order.
     """
     shapes = [
         (size, code, t, _tree_name(t, code))
@@ -199,15 +198,15 @@ def _level_candidates(k: int, copies_cap: int, vertex_budget: int) -> list[tuple
         for code, t in _coded_trees(size)
     ]
     shapes.sort(key=lambda s: (s[0], s[1]))
-    found: list[tuple[int, tuple[str, ...], list[int]]] = []
+    found: list[tuple[int, tuple[str, ...], list[tuple[int, str, Graph, str]]]] = []
     # each stack entry is a multiset of shapes: (next shape index, vertices
     # used, (shape index, copies) pairs); its extensions add later shapes
     stack: list[tuple[int, int, tuple[tuple[int, int], ...]]] = [(0, 0, ())]
     while stack:
         start, total, chosen = stack.pop()
         if chosen and shapes[chosen[-1][0]][0] == k:
-            picks = [j for j, c in chosen for _ in range(c)]
-            found.append((total, tuple(shapes[j][1] for j in picks), picks))
+            picked = [shapes[j] for j, c in chosen for _ in range(c)]
+            found.append((total, tuple(s[1] for s in picked), picked))
         for j in range(start, len(shapes)):
             size = shapes[j][0]
             if total + size > vertex_budget:
@@ -218,16 +217,10 @@ def _level_candidates(k: int, copies_cap: int, vertex_budget: int) -> list[tuple
                 stack.append((j + 1, total + c * size, chosen + ((j, c),)))
 
     found.sort(key=lambda item: (item[0], item[1]))
-    out = []
-    for total, _, picks in found:
-        pairs: list[tuple[int, int]] = []
-        offset = 0
-        for j in picks:
-            size, _, t, _ = shapes[j]
-            pairs += [(u + offset, v + offset) for u, v in t.edges]
-            offset += size
-        out.append((_join_names([shapes[j][3] for j in picks]), Graph.of(total, pairs)))
-    return out
+    return [
+        (_join_names([s[3] for s in picked]), picked[0][2].disjoint_union(*(s[2] for s in picked[1:])))
+        for _, _, picked in found
+    ]
 
 
 def solve(

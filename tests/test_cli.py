@@ -165,6 +165,16 @@ def test_dsl_terms_above_the_cap_are_refusals(capsys):
     )
 
 
+def test_large_trees_and_edge_lists_are_refusals(capsys):
+    # refused from the height and from the vertex count, before anything is built
+    assert run(capsys, "density", "B40000000") == (
+        1, "", "refused: tree T(2,40000000) has at least 2^40000000 vertices, above the cap 1000000\n"
+    )
+    assert run(capsys, "density", "100000000; 0 1") == (
+        1, "", "refused: the edge list has 100000000 vertices, above the cap 1000000\n"
+    )
+
+
 def test_sweep_command_replays(capsys):
     argv = [
         "sweep", "--mode", "containment", "--h", "K3", "--n", "20",

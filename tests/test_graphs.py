@@ -14,6 +14,7 @@ from ramsey_lab.graphs import (
     _coded_trees,
     _plan,
     _search,
+    ary_tree_graph,
     avoids,
     colour_degree,
     complete_graph,
@@ -318,6 +319,115 @@ def test_dsl_cap_boundary_for_terms_and_unions(monkeypatch):
     for spec, message in refusals.items():
         with pytest.raises(DomainError, match=f"^{message}, above the cap 10$"):
             parse_graph(spec)
+
+
+def test_tree_terms_are_refused_without_computing_their_order():
+    # d^(h+1) here would have 40 million bits; the refusal reads d and h only
+    refusals = {
+        "B40000000": r"tree T\(2,40000000\) has at least 2\^40000000 vertices",
+        "B10000000000": r"tree T\(2,10000000000\) has at least 2\^10000000000 vertices",
+        "T(4,1000000)": r"tree T\(4,1000000\) has at least 2\^2000000 vertices",
+        # a lower bound for an arity that is not a power of two: d^h >= 2^h
+        "T(3,1000000)": r"tree T\(3,1000000\) has at least 2\^1000000 vertices",
+        # small enough to count exactly, as before
+        "T(10,5000)": r"tree T\(10,5000\) has at least 2\^16609 vertices",
+    }
+    tracemalloc.start()
+    try:
+        for spec, message in refusals.items():
+            with pytest.raises(DomainError, match=f"^{message}, above the cap 1000000$"):
+                parse_graph(spec)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+def test_edge_lists_are_held_to_the_dsl_cap(monkeypatch):
+    tracemalloc.start()
+    try:
+        with pytest.raises(DomainError, match="^the edge list has 100000000 vertices, above the cap 1000000$"):
+            parse_graph("100000000; 0 1")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    monkeypatch.setattr(graphs_module, "DSL_VERTEX_CAP", 10)
+    assert parse_graph("10; 0 1").n == 10
+    assert parse_graph("5;" + "0 1;" * 10).e == 1
+    with pytest.raises(DomainError, match="^the edge list has 11 vertices, above the cap 10$"):
+        parse_graph("11; 0 1")
+    # counted from the edge lines, before repeated lines are merged
+    with pytest.raises(DomainError, match="^the edge list has 11 edges, above the cap 10$"):
+        parse_graph("5;" + "0 1;" * 11)
+
+
+def chained_union(parts):
+    """The union of ``parts`` built one two-graph union at a time."""
+    g = Graph.of(0)
+    for part in parts:
+        g = g.disjoint_union(part)
+    return g
+
+
+# a DSL term and the graphs its components are built from
+DSL_TERMS = st.one_of(
+    st.integers(0, 5).map(lambda n: (f"K{n}", [complete_graph(n)])),
+    st.integers(0, 4).map(lambda s: (f"K1,{s}", [star(s)])),
+    st.integers(0, 4).map(lambda d: (f"P{d}", [path(d)])),
+    st.integers(0, 3).map(lambda k: (f"M{k}", [matching(k)])),
+    st.lists(st.integers(0, 3), min_size=1, max_size=4).map(
+        lambda s: (f"SF({','.join(map(str, s))})", [star(x) for x in s])
+    ),
+    st.tuples(st.integers(1, 3), st.integers(0, 2)).map(
+        lambda dh: (f"T({dh[0]},{dh[1]})", [ary_tree_graph(*dh)])
+    ),
+)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.lists(DSL_TERMS, min_size=1, max_size=6))
+@example([("K1", [Graph.of(1)]), ("K1", [Graph.of(1)]), ("SF(0,2,0)", [star(0), star(2), star(0)])])
+def test_union_terms_parse_as_chained_unions(terms):
+    spec = " + ".join(text for text, _ in terms)
+    parts = [g for _, graphs in terms for g in graphs]
+    assert parse_graph(spec) == chained_union(parts)
+
+
+@st.composite
+def small_graphs(draw):
+    n = draw(st.integers(0, 5))
+    pairs = list(itertools.combinations(range(n), 2))
+    return Graph.of(n, draw(st.sets(st.sampled_from(pairs))) if pairs else ())
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(small_graphs(), st.lists(small_graphs(), max_size=5))
+def test_one_union_call_equals_the_chain(first, rest):
+    assert first.disjoint_union(*rest) == chained_union([first] + rest)
+
+
+@pytest.mark.parametrize(
+    "spec", ["+".join(["K2"] * 10_000), "SF(" + ",".join(["1"] * 10_000) + ")"], ids=["K2+...+K2", "SF(1,...,1)"]
+)
+def test_a_union_builds_each_edge_a_bounded_number_of_times(monkeypatch, spec):
+    """A chain of two-graph unions copies every earlier edge again per
+    term, about 5 * 10^7 edges for 10,000 terms; one pass copies each
+    edge once into its term and once into each union that holds it (an
+    SF term is a union, and so is the parsed text)."""
+    sizes = []
+    of = Graph.of.__func__
+
+    def counting_of(cls, n, pairs=()):
+        pairs = list(pairs)
+        sizes.append(len(pairs))
+        return of(cls, n, pairs)
+
+    monkeypatch.setattr(Graph, "of", classmethod(counting_of))
+    g = parse_graph(spec)
+    assert (g.n, g.e) == (20_000, 10_000)
+    assert len(sizes) <= 10_000 + 4
+    assert sum(sizes) <= 3 * 10_000
 
 
 def test_counts_past_the_digit_limit_are_refused_not_raised():
