@@ -24,7 +24,13 @@ from .constructions import (
     constellation_arrow_tree,
     star_arrow_tree,
 )
-from .densities import GraphClass, classify, max_2_density, max_density
+from .densities import (
+    DEFAULT_DENSITY_VERTEX_BUDGET,
+    GraphClass,
+    classify,
+    max_2_density,
+    max_density,
+)
 from .errors import (
     BudgetError,
     ConstructionStall,
@@ -60,9 +66,9 @@ def _density(args) -> None:
     g = load_graph(args.graph)
     both = not (args.m or args.m2)
     if args.m or both:
-        print(f"m = {max_density(g)}")
+        print(f"m = {max_density(g, args.density_budget)}")
     if args.m2 or both:
-        print(f"m2 = {max_2_density(g)}")
+        print(f"m2 = {max_2_density(g, args.density_budget)}")
 
 
 def _classify(args) -> None:
@@ -102,6 +108,7 @@ def _threshold(args) -> None:
         load_graph(args.h1),
         load_graph(args.h2),
         resolve_bounds=not args.no_resolve,
+        density_budget=args.density_budget,
         vertex_budget=args.vertex_budget,
         copies_cap=args.copies_cap,
         edge_budget=args.edge_budget,
@@ -207,6 +214,11 @@ SHARED_OPTIONS = {
     "--vertex-budget": {"type": int, "default": mf.DEFAULT_VERTEX_BUDGET},
     "--copies-cap": {"type": int, "default": mf.DEFAULT_COPIES_CAP},
     "--edge-budget": {"type": int, "default": DEFAULT_EDGE_BUDGET},
+    "--density-budget": {
+        "type": int,
+        "default": DEFAULT_DENSITY_VERTEX_BUDGET,
+        "help": "most vertices for the 2^n subset walk behind m and m2",
+    },
 }
 
 
@@ -229,6 +241,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("graph")
     p.add_argument("--m", action="store_true", help="print only m")
     p.add_argument("--m2", action="store_true", help="print only m2")
+    _add_shared(p, "--density-budget")
 
     p = sub.add_parser("classify", help="pattern family flags")
     p.set_defaults(run=_classify)
@@ -249,7 +262,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(run=_threshold)
     _add_shared(p, "--h1", "--h2")
     p.add_argument("--no-resolve", action="store_true", help="skip the forest search")
-    _add_shared(p, "--vertex-budget", "--copies-cap", "--edge-budget")
+    _add_shared(p, "--vertex-budget", "--copies-cap", "--edge-budget", "--density-budget")
 
     p = sub.add_parser("mf", help="arrowing-forest density bounds with certificate")
     p.set_defaults(run=_mf)

@@ -8,85 +8,148 @@ induced subgraph on k vertices.  All values are exact rationals;
 floating point never enters a density result.
 
 The table comes from a two-block walk over all 2^n vertex subsets.  The
-vertices split into a low block of ceil(n/2) vertices and a high block
+vertices split into a low block of min(n, 12) vertices and a high block
 holding the rest, so every subset is uniquely S | H with S inside the
-low block and H inside the high one.  The low block is tabulated once:
-the inner edge count of every S (lowest-bit recurrence), listed by
-size, and for each high vertex u its neighbour count in every S.  The
-high subsets H are then visited in Gray-code order, each exactly once;
-a step adds or removes one high vertex u, which moves the running
-count e(S) + e(S, H) of every low subset by u's column in one list
-update, and the maxima over each size slice, plus e(H), give the best
-counts of the 2^ceil(n/2) subsets S | H at once.  Each subset is thus
-counted exactly once, the 2^n work runs inside ``map`` and ``max``,
-and memory stays O(n 2^ceil(n/2)).
+low block and H inside the high one.  A column over the low block is
+one packed integer: field j, w bytes wide, holds a count for the j-th
+low subset in size order, where w is the least of 1, 2, 4 and 8 bytes
+with e(G) < 256^w.  Every field the walk forms is a count in [0, e(G)],
+so adding or subtracting two columns never carries or borrows across a
+field.  The running column starts at e(S), the sum of ``ind[u] &
+ind[v]`` over the low edges uv, where ``ind[v]`` packs the indicator
+"v in S"; each high vertex u gets the column of its neighbour counts,
+the sum of ``ind[v]`` over its low neighbours v.  The high subsets H
+are visited in Gray-code order, each exactly once; a step adds or
+removes one high vertex u, which moves e(S) + e(S, H) for every low
+subset S by one big-integer add or subtract of u's column.  The
+maxima over each size slice of the fields, plus e(H), give the best
+counts of the subsets S | H at once; with one-byte fields a slice's
+maximum is looked at only when some field beats the best count so far,
+which one C-level ``bytes.translate`` deleting the smaller values
+tells, and wider fields are read by one little-endian ``struct``
+unpack per step, the same on every host.  Each subset is thus counted exactly once, and the walk holds
+n + 1 packed columns of at most 2^12 w bytes each (the low table's,
+the high vertices' and the running one).
+
+The indicators and the size slices depend only on (low, w), never on
+a graph, so ``_low_table`` builds them on first use and caches them.
+The walk is 2^n time, so ``max_density`` and ``max_2_density`` refuse
+a graph above ``vertex_budget`` vertices from its order alone.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
-from operator import add, sub
+from functools import cache
+from itertools import combinations
+from struct import Struct
 
-from .errors import DomainError
+from .errors import BudgetError, DomainError
 from .graphs import Graph
+
+# the walk takes a few seconds at this order and doubles with each vertex
+DEFAULT_DENSITY_VERTEX_BUDGET = 26
+LOW_BLOCK = 12
+# the struct code of each field width above one byte, at its standard size
+_STRUCT_CODES = {2: "H", 4: "I", 8: "Q"}
+# its first t bytes are the values a one-byte slice may drop when only a
+# field of at least t can raise a best count
+_BYTE_VALUES = bytes(range(256))
+
+
+@cache
+def _low_table(low: int, w: int) -> tuple[tuple[int, ...], tuple[tuple[int, int, int], ...]]:
+    """Packed indicators of "v in S" for each low vertex v, with fields of
+    w bytes over the 2^low subsets S in size order, and the (size, start,
+    end) field slice of each subset size in that order."""
+    # subsets come one at a time from combinations: a list of all 2^low
+    # of them would raise the peak memory of a small walk
+    packed = [bytearray(w << low) for _ in range(low)]
+    slices, j = [], 0
+    for k in range(low + 1):
+        start = j
+        for s in combinations(range(low), k):
+            for v in s:
+                packed[v][j * w] = 1
+            j += 1
+        slices.append((k, start, j))
+    return tuple(int.from_bytes(p, "little") for p in packed), tuple(slices)
 
 
 def _max_edges_by_size(g: Graph) -> list[int]:
     """best[k] = the largest edge count of an induced subgraph on k vertices."""
     n = g.n
-    low = (n + 1) // 2
+    low = min(n, LOW_BLOCK)
+    w = next(w for w in (1, 2, 4, 8) if g.e < 256**w)
+    ind, slices = _low_table(low, w)
     adj = [0] * n
     for u, v in g.edges:
         adj[u] |= 1 << v
         adj[v] |= 1 << u
-    inner = [0] * (1 << low)
-    for s in range(1, 1 << low):
-        rest = s & (s - 1)
-        inner[s] = inner[rest] + (adj[(s & -s).bit_length() - 1] & rest).bit_count()
-    order = sorted(range(1 << low), key=int.bit_count)
-    slices, start = [], 0
-    for k in range(low + 1):
-        slices.append((k, start, start + comb(low, k)))
-        start += comb(low, k)
-    tot = [inner[s] for s in order]
-    cols = [[(adj[u] & s).bit_count() for s in order] for u in range(low, n)]
-    best = [max(tot[a:b]) for _, a, b in slices] + [0] * (n - low)
+    tot = sum(ind[u] & ind[v] for u, v in g.edges if v < low)
+    cols = [sum(ind[v] for v in range(low) if adj[u] >> v & 1) for u in range(low, n)]
+    nbytes = w << low
+    unpack = Struct(f"<{1 << low}{_STRUCT_CODES[w]}").unpack if w > 1 else None
+    best = [0] * (n + 1)
     high = size = inner_high = 0
-    for step in range(1, 1 << (n - low)):
-        i = (step & -step).bit_length() - 1
-        bit = 1 << (low + i)
-        high ^= bit
-        op, sign = (add, 1) if high & bit else (sub, -1)
-        inner_high += sign * (adj[low + i] & high).bit_count()
-        tot = list(map(op, tot, cols[i]))
-        size += sign
-        for k, a, b in slices:
-            e = max(tot[a:b]) + inner_high
-            if e > best[k + size]:
-                best[k + size] = e
+    for step in range(1 << (n - low)):
+        if step:
+            i = (step & -step).bit_length() - 1
+            bit = 1 << (low + i)
+            high ^= bit
+            if high & bit:
+                tot += cols[i]
+                size += 1
+                inner_high += (adj[low + i] & high).bit_count()
+            else:
+                tot -= cols[i]
+                size -= 1
+                inner_high -= (adj[low + i] & high).bit_count()
+        if w == 1:
+            fields = tot.to_bytes(nbytes, "little")
+            for k, a, b in slices:
+                # the fields above best - e(H), if any, hold the slice's maximum
+                rest = fields[a:b].translate(None, _BYTE_VALUES[: max(best[k + size] - inner_high + 1, 0)])
+                if rest:
+                    best[k + size] = max(rest) + inner_high
+        else:
+            fields = unpack(tot.to_bytes(nbytes, "little"))
+            for k, a, b in slices:
+                e = max(fields[a:b]) + inner_high
+                if e > best[k + size]:
+                    best[k + size] = e
     return best
 
 
-def max_density(h: Graph) -> Fraction:
-    """max e(J)/v(J) over non-empty subgraphs J of h."""
+def _walk(h: Graph, vertex_budget: int | None, what: str) -> list[int]:
+    """best[k] for h, refused from h's order alone before anything is built."""
     if h.n == 0:
-        raise DomainError("maximum density needs at least one vertex")
+        raise DomainError(f"{what} needs at least one vertex")
+    if vertex_budget is not None and h.n > vertex_budget:
+        raise BudgetError(
+            f"{h.n} vertices exceeds the subset-walk budget of {vertex_budget};"
+            f" raise --density-budget to walk all 2^{h.n} vertex subsets"
+        )
+    return _max_edges_by_size(h)
+
+
+def max_density(h: Graph, vertex_budget: int | None = DEFAULT_DENSITY_VERTEX_BUDGET) -> Fraction:
+    """max e(J)/v(J) over non-empty subgraphs J of h; refused above
+    ``vertex_budget`` vertices (None lifts the cap)."""
     best_e, best_v = 0, 1
-    for v, e in enumerate(_max_edges_by_size(h)):
+    for v, e in enumerate(_walk(h, vertex_budget, "maximum density")):
         if e * best_v > best_e * v:
             best_e, best_v = e, v
     return Fraction(best_e, best_v)
 
 
-def max_2_density(h: Graph) -> Fraction:
+def max_2_density(h: Graph, vertex_budget: int | None = DEFAULT_DENSITY_VERTEX_BUDGET) -> Fraction:
     """max d2(J) over subgraphs J with at least one edge, where
-    d2(J) = (e(J)-1)/(v(J)-2) and d2(K2) = 1/2; 0 for an edgeless h."""
-    if h.n == 0:
-        raise DomainError("maximum 2-density needs at least one vertex")
+    d2(J) = (e(J)-1)/(v(J)-2) and d2(K2) = 1/2; 0 for an edgeless h.
+    Refused above ``vertex_budget`` vertices (None lifts the cap)."""
     best_num, best_den = 0, 1
-    for v, e in enumerate(_max_edges_by_size(h)):
+    for v, e in enumerate(_walk(h, vertex_budget, "maximum 2-density")):
         if e == 0:
             continue
         num, den = (e - 1, v - 2) if v > 2 else (1, 2)

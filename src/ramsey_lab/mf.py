@@ -280,7 +280,8 @@ def solve(
     if witness is not None:
         top = levels[-1].k
         upper, verified, source = Fraction(top - 1, top), True, "search"
-        if max_density(witness) != upper:
+        # the witness has at most vertex_budget vertices, a bound the caller chose
+        if max_density(witness, vertex_budget=None) != upper:
             raise AssertionError("witness density disagrees with its level")
     else:
         top, source = None, "construction"

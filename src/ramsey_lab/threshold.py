@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import mf
-from .densities import classify, max_2_density, max_density
+from .densities import DEFAULT_DENSITY_VERTEX_BUDGET, classify, max_2_density, max_density
 from .errors import DomainError, OpenProblemError
 from .graphs import Graph
 
@@ -89,12 +89,19 @@ def fired_clauses(h1: Graph, h2: Graph) -> list[str]:
     return fired
 
 
-def threshold(h1: Graph, h2: Graph, resolve_bounds: bool = True, **mf_options) -> ThresholdExponent:
+def threshold(
+    h1: Graph,
+    h2: Graph,
+    resolve_bounds: bool = True,
+    density_budget: int | None = DEFAULT_DENSITY_VERTEX_BUDGET,
+    **mf_options,
+) -> ThresholdExponent:
     """Dispatch the pair to its threshold clause and evaluate it.
 
     With ``resolve_bounds`` false, the arrowing-forest case returns the
     symbolic answer without running the forest search (useful when only
-    the dispatch itself is of interest).  ``mf_options`` are forwarded
+    the dispatch itself is of interest).  ``density_budget`` is the
+    vertex budget of the m and m2 walks; ``mf_options`` are forwarded
     to the forest search.
     """
     fired = fired_clauses(h1, h2)
@@ -112,14 +119,14 @@ def threshold(h1: Graph, h2: Graph, resolve_bounds: bool = True, **mf_options) -
         )
 
     if case == CASE_APPEARANCE:
-        m = max_density(h1)
+        m = max_density(h1, density_budget)
         return ThresholdExponent(case, -1 / m, None, None, {"m": m})
 
     if case == CASE_MATCHING:
         return ThresholdExponent(case, Fraction(-1), None, None, {})
 
     if case == CASE_M2:
-        m2 = max_2_density(h1)
+        m2 = max_2_density(h1, density_budget)
         return ThresholdExponent(case, -1 / m2, None, None, {"m2": m2})
 
     if not resolve_bounds:

@@ -175,6 +175,24 @@ def test_large_trees_and_edge_lists_are_refusals(capsys):
     )
 
 
+def test_subset_walk_budget_refusals(capsys):
+    # refused from the vertex count before the 2^n walk starts
+    line = "refused: {n} vertices exceeds the subset-walk budget of {b}; raise --density-budget to walk all 2^{n} vertex subsets\n"
+    cases = {
+        ("density", "P40"): line.format(n=41, b=26),
+        ("threshold", "--h1", "K30", "--h2", "P3"): line.format(n=30, b=26),
+        ("density", "1000000; 0 1"): line.format(n=1000000, b=26),
+        ("density", "K5", "--density-budget", "4"): line.format(n=5, b=4),
+        ("threshold", "--h1", "K5", "--h2", "P3", "--density-budget", "4"): line.format(n=5, b=4),
+    }
+    for argv, expected in cases.items():
+        assert run(capsys, *argv) == (1, "", expected), argv
+    assert run(capsys, "density", "K5", "--density-budget", "5") == (0, "m = 2\nm2 = 3\n", "")
+    assert run(capsys, "threshold", "--h1", "K5", "--h2", "P3", "--density-budget", "5") == (
+        0, "exponent = -1/3; case = two-colour-density\n", ""
+    )
+
+
 def test_sweep_command_replays(capsys):
     argv = [
         "sweep", "--mode", "containment", "--h", "K3", "--n", "20",

@@ -1,21 +1,27 @@
 import itertools
 import random
+import re
+import tracemalloc
 from fractions import Fraction
+from math import comb
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ramsey_lab.densities import (
+    DEFAULT_DENSITY_VERTEX_BUDGET,
+    LOW_BLOCK,
+    _low_table,
     _max_edges_by_size,
     bridge_join,
     classify,
     max_2_density,
     max_density,
 )
-from ramsey_lab.errors import DomainError
+from ramsey_lab.errors import BudgetError, DomainError
 from ramsey_lab.gnp import sample_gnp
-from ramsey_lab.graphs import Graph, enumerate_trees, matching, parse_graph, path, star
+from ramsey_lab.graphs import Graph, complete_graph, enumerate_trees, matching, parse_graph, path, star
 
 from oracles import density_oracle, max_edges_by_size_oracle, random_tree
 
@@ -102,12 +108,106 @@ def test_densities_monotone_laws(g, data):
 
 
 def test_max_edges_by_size_against_subset_walk():
-    """Both block splits (odd and even n) and Gray-code removals on
-    graphs past the exhaustively checked 7-vertex atlas."""
+    """Graphs past the exhaustively checked 7-vertex atlas: no high block
+    up to 12 vertices, then high blocks of 1-4 vertices with Gray-code
+    removals."""
     for n in range(10, 17):
         for trial, p in enumerate((0.2, 0.5, 0.8)):
             g = sample_gnp(n, p, seed=n, trial=trial)
             assert _max_edges_by_size(g) == max_edges_by_size_oracle(g), (n, p)
+
+
+@st.composite
+def block_boundary_graphs(draw) -> Graph:
+    """Graphs on 13..16 vertices: a full low block and 1..4 high vertices."""
+    n = draw(st.integers(13, 16))
+    pairs = list(itertools.combinations(range(n), 2))
+    p = draw(st.sampled_from((0.15, 0.4, 0.7, 0.95)))
+    keep = draw(st.lists(st.floats(0, 1), min_size=len(pairs), max_size=len(pairs)))
+    return Graph.of(n, [pair for pair, x in zip(pairs, keep) if x < p])
+
+
+@settings(max_examples=20, deadline=None, derandomize=True, database=None)
+@given(block_boundary_graphs())
+def test_packed_walk_matches_oracle_across_the_block_boundary(g):
+    assert _max_edges_by_size(g) == max_edges_by_size_oracle(g)
+
+
+def test_packed_walk_small_orders_have_no_high_block():
+    assert _max_edges_by_size(Graph.of(0)) == [0]
+    assert _max_edges_by_size(Graph.of(1)) == [0, 0]
+    rng = random.Random(15)
+    for n in range(2, LOW_BLOCK + 1):
+        for p in (0.0, 0.3, 0.7, 1.0):
+            pairs = [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < p]
+            g = Graph.of(n, pairs)
+            assert _max_edges_by_size(g) == max_edges_by_size_oracle(g), (n, p)
+
+
+def test_packed_walk_wide_fields_closed_forms():
+    # K23 has 253 edges, the most one-byte fields hold; K24 and K25 need two
+    for k in (23, 24, 25):
+        assert _max_edges_by_size(complete_graph(k)) == [comb(j, 2) for j in range(k + 1)], k
+    # one edge fewer: only the whole vertex set loses it
+    edges = complete_graph(24).edges - {(3, 17)}
+    assert _max_edges_by_size(Graph(24, edges)) == [comb(j, 2) for j in range(24)] + [275]
+
+
+def test_low_table_lists_each_subset_once_by_size_at_every_width():
+    low = 5
+    for w in (1, 2, 4, 8):
+        ind, slices = _low_table(low, w)
+        # subset j is read back from field j of every vertex's indicator
+        bits = []
+        for v in range(low):
+            packed = ind[v].to_bytes(w << low, "little")
+            bits.append([int.from_bytes(packed[j * w:(j + 1) * w], "little") for j in range(1 << low)])
+            assert set(bits[-1]) == {0, 1}, (w, v)
+        subsets = [sum(bits[v][j] << v for v in range(low)) for j in range(1 << low)]
+        assert sorted(subsets) == list(range(1 << low)), w
+        assert [k for k, _, _ in slices] == list(range(low + 1))
+        for k, a, b in slices:
+            assert b - a == comb(low, k) and all(s.bit_count() == k for s in subsets[a:b]), (w, k)
+        assert slices[0][1] == 0 and slices[-1][2] == 1 << low
+        assert all(prev[2] == nxt[1] for prev, nxt in zip(slices, slices[1:]))
+
+
+def test_packed_walk_memory_does_not_grow_with_the_subset_count():
+    # 2^24 subsets in n + 1 columns of 4 KB, plus the table's transients
+    g = sample_gnp(24, 0.5, seed=24, trial=0)
+    _low_table.cache_clear()  # the table's build counts too
+    tracemalloc.start()
+    try:
+        best = _max_edges_by_size(g)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 256 << 10, peak
+    assert best[24] == g.e and best[2] == 1
+
+
+def test_subset_walk_budget_refuses_from_the_order_alone():
+    huge = Graph.of(1_000_000, [(0, 1)])
+    line = (
+        "1000000 vertices exceeds the subset-walk budget of 26;"
+        " raise --density-budget to walk all 2^1000000 vertex subsets"
+    )
+    tracemalloc.start()
+    try:
+        for fn in (max_density, max_2_density):
+            with pytest.raises(BudgetError, match=f"^{re.escape(line)}$"):
+                fn(huge)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 << 10, peak
+    assert DEFAULT_DENSITY_VERTEX_BUDGET == 26
+    k5 = complete_graph(5)
+    for fn in (max_density, max_2_density):
+        with pytest.raises(BudgetError, match="^5 vertices exceeds the subset-walk budget of 4;"):
+            fn(k5, vertex_budget=4)
+    assert max_density(k5, vertex_budget=5) == 2 and max_2_density(k5, vertex_budget=5) == 3
+    assert max_density(k5, vertex_budget=None) == 2  # None lifts the cap
 
 
 def test_forest_density_is_largest_component():
