@@ -62,7 +62,6 @@ from .graphs import (
     find_embedding,
     find_monochromatic_copy,
     find_rainbow_copy,
-    is_isomorphic,
     matching,
     parse_graph,
     path,

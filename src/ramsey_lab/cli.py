@@ -40,7 +40,7 @@ from .errors import (
 )
 from .graphs import Colouring, Graph, parse_graph
 from .threshold import threshold
-from .tree_labels import descendant_colouring, min_max_path_product, rainbow_binary_host
+from .tree_labels import DEFAULT_LABEL_BUDGET, descendant_colouring, min_max_path_product, rainbow_binary_host
 from .trees import CompleteAryTree, LayeredTree, RootedTree
 
 
@@ -271,7 +271,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("f-of-h", help="optimal worst path product of a tree labelling")
     p.set_defaults(run=_f_of_h)
     p.add_argument("graph")
-    p.add_argument("--edge-budget", type=int, default=10)
+    p.add_argument("--edge-budget", type=int, default=DEFAULT_LABEL_BUDGET)
 
     p = sub.add_parser("colour", help="construct a named colouring of a forest")
     p.set_defaults(run=_colour)

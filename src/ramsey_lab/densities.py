@@ -8,33 +8,30 @@ induced subgraph on k vertices.  All values are exact rationals;
 floating point never enters a density result.
 
 The table comes from a two-block walk over all 2^n vertex subsets.  The
-vertices split into a low block of min(n, 12) vertices and a high block
-holding the rest, so every subset is uniquely S | H with S inside the
-low block and H inside the high one.  A column over the low block is
-one packed integer: field j, w bytes wide, holds a count for the j-th
-low subset in size order, where w is the least of 1, 2, 4 and 8 bytes
-with e(G) < 256^w.  Every field the walk forms is a count in [0, e(G)],
-so adding or subtracting two columns never carries or borrows across a
-field.  The running column starts at e(S), the sum of ``ind[u] &
+vertices split into a low block 0..L-1 and a high block holding the
+rest, so every subset is uniquely S | H with S inside the low block and
+H inside the high one.  A column over the low block is one packed
+integer whose byte j holds a count for the j-th low subset in size
+order.  The running column starts at e(S), the sum of ``ind[u] &
 ind[v]`` over the low edges uv, where ``ind[v]`` packs the indicator
-"v in S"; each high vertex u gets the column of its neighbour counts,
-the sum of ``ind[v]`` over its low neighbours v.  The high subsets H
-are visited in Gray-code order, each exactly once; a step adds or
-removes one high vertex u, which moves e(S) + e(S, H) for every low
-subset S by one big-integer add or subtract of u's column.  The
-maxima over each size slice of the fields, plus e(H), give the best
-counts of the subsets S | H at once; with one-byte fields a slice's
-maximum is looked at only when some field beats the best count so far,
-which one C-level ``bytes.translate`` deleting the smaller values
-tells, and wider fields are read by one little-endian ``struct``
-unpack per step, the same on every host.  Each subset is thus counted exactly once, and the walk holds
-n + 1 packed columns of at most 2^12 w bytes each (the low table's,
-the high vertices' and the running one).
+"v in S"; each high vertex u gets the column of its neighbour counts.
+The high subsets H are visited in Gray-code order, each exactly once; a
+step adds or removes one high vertex u, which moves e(S) + e(S, H) for
+every low subset S by one big-integer add or subtract of u's column.
+That count is at most the number of edges touching the low block, and
+L is the largest block of at most 12 vertices with at most 255 of them
+(12 on every graph up to 27 vertices), so every field stays a byte and
+no add or subtract carries or borrows across a field.  The size-slice
+maxima of the fields, plus e(H), give the best counts of the subsets
+S | H at once; one C-level ``bytes.translate`` deleting the values up
+to the best count so far tells whether a slice needs its maximum.
+Each subset is thus counted once, and the walk holds n + 1 packed
+columns of at most 2^12 bytes each.
 
-The indicators and the size slices depend only on (low, w), never on
-a graph, so ``_low_table`` builds them on first use and caches them.
-The walk is 2^n time, so ``max_density`` and ``max_2_density`` refuse
-a graph above ``vertex_budget`` vertices from its order alone.
+The indicators and size slices depend only on L, so ``_low_table``
+builds them on first use and caches them.  The walk is 2^n time, so
+``max_density`` and ``max_2_density`` refuse a graph above
+``vertex_budget`` vertices from its order alone.
 """
 
 from __future__ import annotations
@@ -43,54 +40,58 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from itertools import combinations
-from struct import Struct
 
 from .errors import BudgetError, DomainError
 from .graphs import Graph
 
-# the walk takes a few seconds at this order and doubles with each vertex
+# K26 walks in about 0.3 s on a 2-core host; the walk doubles with each vertex
 DEFAULT_DENSITY_VERTEX_BUDGET = 26
 LOW_BLOCK = 12
-# the struct code of each field width above one byte, at its standard size
-_STRUCT_CODES = {2: "H", 4: "I", 8: "Q"}
-# its first t bytes are the values a one-byte slice may drop when only a
-# field of at least t can raise a best count
+# its first t bytes are the values a slice may drop when only a field of
+# at least t can raise a best count
 _BYTE_VALUES = bytes(range(256))
 
 
 @cache
-def _low_table(low: int, w: int) -> tuple[tuple[int, ...], tuple[tuple[int, int, int], ...]]:
-    """Packed indicators of "v in S" for each low vertex v, with fields of
-    w bytes over the 2^low subsets S in size order, and the (size, start,
-    end) field slice of each subset size in that order."""
+def _low_table(low: int) -> tuple[tuple[int, ...], tuple[tuple[int, int, int], ...]]:
+    """Packed indicators of "v in S" for each low vertex v, one byte per
+    subset S of the 2^low in size order, and the (size, start, end) byte
+    slice of each subset size in that order."""
     # subsets come one at a time from combinations: a list of all 2^low
     # of them would raise the peak memory of a small walk
-    packed = [bytearray(w << low) for _ in range(low)]
+    packed = [bytearray(1 << low) for _ in range(low)]
     slices, j = [], 0
     for k in range(low + 1):
         start = j
         for s in combinations(range(low), k):
             for v in s:
-                packed[v][j * w] = 1
+                packed[v][j] = 1
             j += 1
         slices.append((k, start, j))
     return tuple(int.from_bytes(p, "little") for p in packed), tuple(slices)
 
 
+def _low_block(g: Graph) -> int:
+    """The largest L <= min(n, LOW_BLOCK) with at most 255 edges touching
+    vertices 0..L-1: every count the walk packs is bounded by that number."""
+    low = min(g.n, LOW_BLOCK)
+    while sum(u < low for u, _ in g.edges) > 255:
+        low -= 1
+    return low
+
+
 def _max_edges_by_size(g: Graph) -> list[int]:
     """best[k] = the largest edge count of an induced subgraph on k vertices."""
     n = g.n
-    low = min(n, LOW_BLOCK)
-    w = next(w for w in (1, 2, 4, 8) if g.e < 256**w)
-    ind, slices = _low_table(low, w)
+    low = _low_block(g)
+    ind, slices = _low_table(low)
     adj = [0] * n
     for u, v in g.edges:
         adj[u] |= 1 << v
         adj[v] |= 1 << u
     tot = sum(ind[u] & ind[v] for u, v in g.edges if v < low)
     cols = [sum(ind[v] for v in range(low) if adj[u] >> v & 1) for u in range(low, n)]
-    nbytes = w << low
-    unpack = Struct(f"<{1 << low}{_STRUCT_CODES[w]}").unpack if w > 1 else None
+    nbytes = 1 << low
     best = [0] * (n + 1)
     high = size = inner_high = 0
     for step in range(1 << (n - low)):
@@ -106,19 +107,12 @@ def _max_edges_by_size(g: Graph) -> list[int]:
                 tot -= cols[i]
                 size -= 1
                 inner_high -= (adj[low + i] & high).bit_count()
-        if w == 1:
-            fields = tot.to_bytes(nbytes, "little")
-            for k, a, b in slices:
-                # the fields above best - e(H), if any, hold the slice's maximum
-                rest = fields[a:b].translate(None, _BYTE_VALUES[: max(best[k + size] - inner_high + 1, 0)])
-                if rest:
-                    best[k + size] = max(rest) + inner_high
-        else:
-            fields = unpack(tot.to_bytes(nbytes, "little"))
-            for k, a, b in slices:
-                e = max(fields[a:b]) + inner_high
-                if e > best[k + size]:
-                    best[k + size] = e
+        fields = tot.to_bytes(nbytes, "little")
+        for k, a, b in slices:
+            # the fields above best - e(H), if any, hold the slice's maximum
+            rest = fields[a:b].translate(None, _BYTE_VALUES[: max(best[k + size] - inner_high + 1, 0)])
+            if rest:
+                best[k + size] = max(rest) + inner_high
     return best
 
 

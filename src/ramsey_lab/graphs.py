@@ -677,6 +677,18 @@ def _level_sequence_to_graph(seq: list[int]) -> Graph:
     return Graph.of(len(seq), pairs)
 
 
+def _bfs(g: Graph, root: int) -> tuple[list[int], list[int], list[int]]:
+    """Breadth-first order of the tree around ``root``, with each vertex's
+    parent (-1 for the root) and distance from the root."""
+    order, parent, dist = [root], [-1] * g.n, [0] * g.n
+    for v in order:
+        for w in g.adj[v]:
+            if w != parent[v]:
+                parent[w], dist[w] = v, dist[v] + 1
+                order.append(w)
+    return order, parent, dist
+
+
 def rooted_code(g: Graph, root: int) -> str:
     """AHU-style parenthesis code of a tree rooted at ``root``: a vertex's
     code wraps its children's codes, sorted, in one pair of parentheses.
@@ -684,13 +696,7 @@ def rooted_code(g: Graph, root: int) -> str:
     Children are coded before their parent by walking a breadth-first
     order backwards, so no recursion depth grows with the tree.
     """
-    parent = {root: -1}
-    order = [root]
-    for v in order:
-        for w in g.adj[v]:
-            if w != parent[v]:
-                parent[w] = v
-                order.append(w)
+    order, parent, _ = _bfs(g, root)
     subs: dict[int, list[str]] = {v: [] for v in order}
     for v in reversed(order[1:]):
         subs[parent[v]].append("(" + "".join(sorted(subs.pop(v))) + ")")
@@ -698,10 +704,19 @@ def rooted_code(g: Graph, root: int) -> str:
 
 
 def tree_code(g: Graph) -> str:
-    """Canonical code of a free tree: rooted code minimised over roots."""
+    """Canonical code of a free tree: rooted code minimised over roots.
+
+    A code rooted at r opens with ecc(r) + 1 "(", which sorts before ")",
+    so only the peripheral roots are tried: ecc(v) = max(d(v, a), d(v, b))
+    for the ends a, b of a longest path (a farthest from 0, b from a).
+    """
     if not g.is_forest or len(g.components) != 1:
         raise DomainError("tree_code requires a single tree")
-    return min(rooted_code(g, r) for r in range(g.n))
+    d0 = _bfs(g, 0)[2]
+    da = _bfs(g, d0.index(max(d0)))[2]
+    diameter = max(da)
+    db = _bfs(g, da.index(diameter))[2]
+    return min(rooted_code(g, r) for r in range(g.n) if max(da[r], db[r]) == diameter)
 
 
 @cache
@@ -734,12 +749,3 @@ def enumerate_trees(k: int) -> Iterator[Graph]:
     in the fixed order of the catalogue ``_coded_trees(k)``."""
     for _, g in _coded_trees(k):
         yield g
-
-
-def is_isomorphic(a: Graph, b: Graph) -> bool:
-    """Isomorphism test for small graphs via bidirectional embedding."""
-    if a.n != b.n or a.e != b.e:
-        return False
-    if sorted(a.degree(v) for v in range(a.n)) != sorted(b.degree(v) for v in range(b.n)):
-        return False
-    return contains(a, b)

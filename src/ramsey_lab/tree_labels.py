@@ -21,6 +21,9 @@ from .graphs import Edge, Embedding, Graph, norm_edge, rooted_code
 from .trees import CompleteAryTree, LayeredTree, RootedTree
 from .constructions import find_monochromatic_star, greedy_rainbow_embed
 
+# the labelling search is factorial in the edges: `f-of-h P10` takes about 40 s
+DEFAULT_LABEL_BUDGET = 10
+
 
 def descendant_counts(tree: RootedTree) -> dict[int, int]:
     """Subtree sizes: each vertex counts itself plus all descendants."""
@@ -75,7 +78,7 @@ class OptimalLabelling:
     labels: dict[Edge, int]
 
 
-def min_max_path_product(h: Graph, edge_budget: int = 10) -> OptimalLabelling:
+def min_max_path_product(h: Graph, edge_budget: int = DEFAULT_LABEL_BUDGET) -> OptimalLabelling:
     """Minimum over roots and injective edge labellings of the maximum
     product of labels along a root-to-leaf path.
 
@@ -89,7 +92,7 @@ def min_max_path_product(h: Graph, edge_budget: int = 10) -> OptimalLabelling:
     return best
 
 
-def path_product_at_least(h: Graph, bound: int, edge_budget: int = 20) -> bool:
+def path_product_at_least(h: Graph, bound: int, edge_budget: int = DEFAULT_LABEL_BUDGET) -> bool:
     """Certify min_max_path_product(h) >= bound without computing it:
     the same branch-and-bound, started with the bound as its incumbent,
     finds no labelling that beats it."""

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .errors import BudgetError, DomainError, n_vertices
-from .graphs import Graph, norm_edge
+from .graphs import Graph, _bfs, norm_edge
 
 DEFAULT_VERTEX_BUDGET = 1 << 20
 
@@ -39,19 +39,11 @@ class RootedTree:
             raise DomainError("rooted tree requires a connected acyclic graph")
         if not 0 <= root < g.n:
             raise DomainError(f"root {root} not a vertex")
-        parent = [-1] * g.n
-        depth = [0] * g.n
+        _, parent, depth = _bfs(g, root)
         children: list[list[int]] = [[] for _ in range(g.n)]
-        order = [root]
-        seen = {root}
-        for v in order:
-            for w in sorted(g.adj[v]):
-                if w not in seen:
-                    seen.add(w)
-                    parent[w] = v
-                    depth[w] = depth[v] + 1
-                    children[v].append(w)
-                    order.append(w)
+        for v in range(g.n):
+            if v != root:
+                children[parent[v]].append(v)
         return cls(g, root, tuple(parent), tuple(tuple(c) for c in children), tuple(depth))
 
     @property

@@ -111,7 +111,8 @@ def rooted_code_oracle(g: Graph, root: int) -> str:
     return code(root, -1)
 
 
-def _isomorphic(a: Graph, b: Graph) -> bool:
+def isomorphic(a: Graph, b: Graph) -> bool:
+    """Isomorphism by backtracking over degree-matched vertex maps."""
     if a.n != b.n or a.e != b.e:
         return False
     deg_a = sorted(a.degree(v) for v in range(a.n))
@@ -185,7 +186,7 @@ def brute_force_trees(k: int) -> list[Graph]:
         key = (degs, nbr_profile)
         hit = False
         for idx in buckets.get(key, ()):
-            if _isomorphic(g, reps[idx]):
+            if isomorphic(g, reps[idx]):
                 hit = True
                 break
         if not hit:

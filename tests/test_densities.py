@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from ramsey_lab.densities import (
     DEFAULT_DENSITY_VERTEX_BUDGET,
     LOW_BLOCK,
+    _low_block,
     _low_table,
     _max_edges_by_size,
     bridge_join,
@@ -144,30 +145,44 @@ def test_packed_walk_small_orders_have_no_high_block():
             assert _max_edges_by_size(g) == max_edges_by_size_oracle(g), (n, p)
 
 
-def test_packed_walk_wide_fields_closed_forms():
-    # K23 has 253 edges, the most one-byte fields hold; K24 and K25 need two
-    for k in (23, 24, 25):
+def test_packed_walk_dense_graphs_closed_forms():
+    # K23 has 253 edges and K24 276, but at most 246 of them touch the
+    # first 12 vertices up to K27; K28 has 258 there, so its low block
+    # shrinks to 11 vertices
+    for k in (23, 24, 25, 28):
         assert _max_edges_by_size(complete_graph(k)) == [comb(j, 2) for j in range(k + 1)], k
+    assert _low_block(complete_graph(27)) == 12 and _low_block(complete_graph(28)) == 11
     # one edge fewer: only the whole vertex set loses it
-    edges = complete_graph(24).edges - {(3, 17)}
-    assert _max_edges_by_size(Graph(24, edges)) == [comb(j, 2) for j in range(24)] + [275]
+    for k, (u, v) in ((24, (3, 17)), (28, (5, 20))):
+        g = Graph(k, complete_graph(k).edges - {(u, v)})
+        assert _max_edges_by_size(g) == [comb(j, 2) for j in range(k)] + [comb(k, 2) - 1], k
 
 
-def test_low_table_lists_each_subset_once_by_size_at_every_width():
-    low = 5
-    for w in (1, 2, 4, 8):
-        ind, slices = _low_table(low, w)
-        # subset j is read back from field j of every vertex's indicator
-        bits = []
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(st.integers(0, 40), st.floats(0, 1), st.integers(0, 1 << 16))
+def test_low_block_is_the_largest_whose_counts_fit_a_byte(n, p, seed):
+    g = sample_gnp(n, p, seed=seed, trial=0)
+    low = _low_block(g)
+
+    def touching(size: int) -> int:
+        return sum(1 for u, v in g.edges if min(u, v) < size)
+
+    assert 0 <= low <= min(n, LOW_BLOCK) and touching(low) <= 255
+    assert low == min(n, LOW_BLOCK) or touching(low + 1) > 255
+
+
+def test_low_table_lists_each_subset_once_by_size():
+    for low in (0, 1, 2, 5, 11, 12):
+        ind, slices = _low_table(low)
+        # subset j is read back from byte j of every vertex's indicator
+        bits = [list(ind[v].to_bytes(1 << low, "little")) for v in range(low)]
         for v in range(low):
-            packed = ind[v].to_bytes(w << low, "little")
-            bits.append([int.from_bytes(packed[j * w:(j + 1) * w], "little") for j in range(1 << low)])
-            assert set(bits[-1]) == {0, 1}, (w, v)
+            assert set(bits[v]) == {0, 1}, (low, v)
         subsets = [sum(bits[v][j] << v for v in range(low)) for j in range(1 << low)]
-        assert sorted(subsets) == list(range(1 << low)), w
+        assert sorted(subsets) == list(range(1 << low)), low
         assert [k for k, _, _ in slices] == list(range(low + 1))
         for k, a, b in slices:
-            assert b - a == comb(low, k) and all(s.bit_count() == k for s in subsets[a:b]), (w, k)
+            assert b - a == comb(low, k) and all(s.bit_count() == k for s in subsets[a:b]), (low, k)
         assert slices[0][1] == 0 and slices[-1][2] == 1 << low
         assert all(prev[2] == nxt[1] for prev, nxt in zip(slices, slices[1:]))
 

@@ -24,7 +24,6 @@ from ramsey_lab.graphs import (
     find_embedding,
     find_monochromatic_copy,
     find_rainbow_copy,
-    is_isomorphic,
     matching,
     parse_graph,
     path,
@@ -40,6 +39,7 @@ from oracles import (
     brute_force_trees,
     coded_trees_oracle,
     copy_finder_oracle,
+    isomorphic,
     naive_copy,
     random_canonical_colouring,
     rooted_code_oracle,
@@ -175,6 +175,12 @@ def test_tree_enumeration_against_brute_force(k):
     codes = {tree_code(t) for t in mine}
     assert len(codes) == len(mine)
     assert codes == {tree_code(t) for t in brute}
+    # the least code over peripheral roots is the least over all roots,
+    # under the brute-force labelling and its reverse
+    for t in brute:
+        flipped = Graph.of(k, [(k - 1 - u, k - 1 - v) for u, v in t.edges])
+        for g in (t, flipped):
+            assert tree_code(g) == min(rooted_code_oracle(g, r) for r in range(k))
 
 
 def test_rooted_code_matches_recursive_oracle():
@@ -205,8 +211,8 @@ def test_isolated_pattern_vertices_need_host_room():
 
 
 def test_is_isomorphic():
-    assert is_isomorphic(parse_graph("P2"), star(2))
-    assert not is_isomorphic(path(3), star(3))
+    assert isomorphic(parse_graph("P2"), star(2))
+    assert not isomorphic(path(3), star(3))
 
 
 def test_finders_record_the_kind_of_copy():
