@@ -10,7 +10,9 @@ The search colours the edges in order and prunes every extension of a
 partial colouring that already contains one of the patterns: assigned
 colours never change when the prefix is extended, so such copies
 persist.  Pruned subtrees are accounted into the examined count by the
-number of canonical colourings they cover.
+number of canonical colourings they cover, so an Arrows verdict has
+examined exactly Bell(e(G)); the walk settles them all at its start when
+a pattern has no edges and at most n(G) vertices.
 
 The prune check is anchored on the newest coloured edge.  The search
 only reaches a prefix of i edges when the prefix of i - 1 edges held no
@@ -39,7 +41,6 @@ from .graphs import (
     complete_graph,
     contains,
     edge_orbit_plans,
-    find_monochromatic_copy,
     has_copy_through,
 )
 
@@ -77,8 +78,8 @@ class ArrowVerdict:
     ``counterexample`` is present exactly when the graph does not
     arrow; replaying it through the copy finders yields neither
     pattern.  ``colourings_examined`` counts the canonical colourings
-    settled by the search (the full Bell number when it ran to
-    completion).
+    settled by the search: Bell(e(G)) for every Arrows verdict, edgeless
+    patterns included.
     """
 
     arrows: bool
@@ -102,7 +103,11 @@ def arrows(g: Graph, h1: Graph, h2: Graph, edge_budget: int | None = DEFAULT_EDG
     Refuses graphs with more edges than ``edge_budget`` (pass None to
     lift the cap) rather than ever answering heuristically.  The
     counterexample returned for NotArrows is the lexicographically
-    least canonical colouring avoiding both patterns.
+    least canonical colouring avoiding both patterns, with one
+    exception: when H1 has at least two edges and embeds but H2 does
+    not, the all-distinct colouring is returned at once (examined 1),
+    although a lesser one may avoid both (``arrows(P3, M2, K4)`` gives
+    ``(0,1,2)``, not ``(0,0,1)``).
     """
     if edge_budget is not None and g.e > edge_budget:
         raise BudgetError(
@@ -110,20 +115,9 @@ def arrows(g: Graph, h1: Graph, h2: Graph, edge_budget: int | None = DEFAULT_EDG
             " raise edge_budget to force the search"
         )
 
-    # A pattern that cannot embed at all settles the decision with a
-    # one-colouring certificate, replay-verified like any other.
-    if not contains(g, h1):
-        if h2.e >= 2 or not contains(g, h2):
-            return _verified_not_arrows(g, Colouring.constant(g), h1, h2, 1)
-        return ArrowVerdict(True, None, 0)  # every copy of h2 is rainbow
-    if not contains(g, h2):
-        if h1.e >= 2:
-            return _verified_not_arrows(g, Colouring.rainbow(g), h1, h2, 1)
-        return ArrowVerdict(True, None, 0)  # every copy of h1 is monochromatic
-
-    if h1.e == 0 or h2.e == 0:
-        # an edgeless pattern that fits is a copy in every colouring
-        return ArrowVerdict(True, None, bell_number(g.e))
+    # the all-distinct certificate: one-edge classes hold no H1, H2 has no copy
+    if h1.e >= 2 and not contains(g, h2) and contains(g, h1):
+        return _verified_not_arrows(g, Colouring.rainbow(g), h1, h2, 1)
     walk = _restricted_growth(g, h1, h2)
     try:
         values, examined = next(walk)
@@ -136,14 +130,17 @@ def _restricted_growth(
     g: Graph, h1: Graph | None, h2: Graph | None
 ) -> Generator[tuple[list[int], int], None, int]:
     """Depth-first walk of the restricted-growth strings of E(g), in
-    lexicographic order.  Given two patterns with edges, a prefix the
-    anchored check settles is pruned, its strings counted as settled;
-    given None, every string is reached.
+    lexicographic order.  A prefix holding a monochromatic h1 or a
+    rainbow h2 is pruned, its strings counted as settled; a pattern
+    given as None is never found, and an edgeless one that fits is in
+    every string.
 
     Yields each string reached (one live list) with the number settled
     so far, that one included; returns the number the walk settled.
     """
     n, m = g.n, g.e
+    if any(h is not None and h.e == 0 and h.n <= n for h in (h1, h2)):
+        return _completions(0, m)
     edges = g.sorted_edges
     values = [0] * m
     blocks = [0] * (m + 1)  # blocks[i]: colours used by the first i edges
@@ -176,22 +173,20 @@ def _restricted_growth(
         class_adj[c][b].discard(a)
         class_size[c] -= 1
 
-    if h1 is None:
-        settles = lambda i: False  # enumerate every string
-    else:
-        e1, e2 = h1.e, h2.e
-        plans1, plans2 = edge_orbit_plans(h1), edge_orbit_plans(h2)
+    # a pattern given as None needs m + 1 edges, which no prefix has
+    e1, plans1 = (m + 1, ()) if h1 is None else (h1.e, edge_orbit_plans(h1))
+    e2, plans2 = (m + 1, ()) if h2 is None else (h2.e, edge_orbit_plans(h2))
 
-        def settles(i: int) -> bool:
-            """Does a copy run through edge i, the newest coloured one?"""
-            c = values[i]
-            if class_size[c] >= e1 and has_copy_through(h1, plans1, n, class_adj[c], edges[i]):
-                return True
-            return (
-                i + 1 >= e2
-                and blocks[i + 1] >= e2
-                and has_copy_through(h2, plans2, n, nbr_colour, edges[i], colour)
-            )
+    def settles(i: int) -> bool:
+        """Does a copy run through edge i, the newest coloured one?"""
+        c = values[i]
+        if class_size[c] >= e1 and has_copy_through(h1, plans1, n, class_adj[c], edges[i]):
+            return True
+        return (
+            i + 1 >= e2
+            and blocks[i + 1] >= e2
+            and has_copy_through(h2, plans2, n, nbr_colour, edges[i], colour)
+        )
 
     examined = 0
     i = 0  # edges coloured so far
@@ -279,9 +274,9 @@ def check_colour_degree_property(
         for s in range(1, 1 << n)
         if s.bit_count() >= threshold
     ]
-    for chi in enumerate_colourings(g):
-        if find_monochromatic_copy(g, chi, params.pattern) is not None:
-            continue
+    # the walk reaches exactly the colourings without a monochromatic pattern
+    for values, _ in _restricted_growth(g, params.pattern, None):
+        chi = Colouring.from_values(g, values)
         for xs in subsets:
             if not any(colour_degree(g, chi, v, xs) > params.r for v in xs):
                 return ColourDegreeVerdict(False, chi, xs)

@@ -25,6 +25,7 @@ from .graphs import (
     Colouring,
     Embedding,
     Graph,
+    _bfs,
     as_colour_fn,
     avoids,
     contains,
@@ -58,17 +59,7 @@ class AvoidMode(enum.Enum):
 def _forest_ranks(f: Graph) -> tuple[list[int], list[int]]:
     """Depths (components rooted at their least vertex) and the
     depth-non-decreasing rank of every vertex."""
-    depth = [0] * f.n
-    for comp in f.components:
-        root = comp[0]
-        order = [root]
-        seen = {root}
-        for v in order:
-            for w in sorted(f.adj[v]):
-                if w not in seen:
-                    seen.add(w)
-                    depth[w] = depth[v] + 1
-                    order.append(w)
+    depth = _bfs(f, *(comp[0] for comp in f.components))[2]
     by_depth = sorted(range(f.n), key=lambda v: (depth[v], v))
     rank = [0] * f.n
     for i, v in enumerate(by_depth):

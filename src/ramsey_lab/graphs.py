@@ -31,7 +31,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import cache, cached_property, lru_cache
-from typing import Callable, Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping
 
 from .errors import DomainError, GraphParseError, n_vertices
 
@@ -435,22 +435,16 @@ def find_monochromatic_copy(host: Graph, chi: "ColourLike", pattern: Graph) -> E
 
     Colour classes are tried in ascending id order.  A pattern without
     edges is vacuously monochromatic and only needs enough host
-    vertices.  A ``Colouring`` over the host's own edge order holds its
-    classes already (canonical ids ascend in first-seen order), so they
-    are read from it instead of looking up every edge's colour.
+    vertices.  Any other colouring is first made a ``Colouring`` over
+    the host's own edge order, whose canonical ids ascend in first-seen
+    order, and its classes are read from that.
     """
     if pattern.e == 0:
         m = _search(pattern, host.n, host.adj, None)
         return Embedding(pattern, m, "monochromatic") if m is not None else None
-    if isinstance(chi, Colouring) and chi.edges == host.sorted_edges:
-        classes: Iterable[Sequence[Edge]] = chi.classes()
-    else:
-        fn = as_colour_fn(chi)
-        by_colour: dict[int, list[Edge]] = {}
-        for u, v in host.sorted_edges:
-            by_colour.setdefault(fn(u, v), []).append((u, v))
-        classes = by_colour.values()
-    for edges in classes:
+    if not (isinstance(chi, Colouring) and chi.edges == host.sorted_edges):
+        chi = Colouring.from_function(host, as_colour_fn(chi))
+    for edges in chi.classes():
         if len(edges) < pattern.e:
             continue
         adj: list[set[int]] = [set() for _ in range(host.n)]
@@ -677,10 +671,10 @@ def _level_sequence_to_graph(seq: list[int]) -> Graph:
     return Graph.of(len(seq), pairs)
 
 
-def _bfs(g: Graph, root: int) -> tuple[list[int], list[int], list[int]]:
-    """Breadth-first order of the tree around ``root``, with each vertex's
-    parent (-1 for the root) and distance from the root."""
-    order, parent, dist = [root], [-1] * g.n, [0] * g.n
+def _bfs(g: Graph, *roots: int) -> tuple[list[int], list[int], list[int]]:
+    """Breadth-first order of the forest around ``roots``, one per tree,
+    with each vertex's parent (-1 for a root) and distance from its root."""
+    order, parent, dist = list(roots), [-1] * g.n, [0] * g.n
     for v in order:
         for w in g.adj[v]:
             if w != parent[v]:

@@ -242,6 +242,9 @@ def solve(
     if copies_cap < 1:
         # with no candidates every level would read as exhausted
         raise DomainError("copies cap must be >= 1")
+    if vertex_budget < 1:
+        # the fallback record would name a level below 2
+        raise DomainError("vertex budget must be >= 1")
     h1, h2 = strip_isolated(h1), strip_isolated(h2)
 
     levels: list[LevelRecord] = []

@@ -11,13 +11,18 @@ grid point, the embedding search by the recursion it had before its
 candidate filter, the tree catalogue by coding every rooted level
 sequence again, a level's forest candidates by chaining
 ``disjoint_union`` over every shape multiset, and the copy finders'
-first copies without their exits.  None of it shares code paths with
-the package algorithms it validates (the arrow-sweep oracle checks the
-sweep's bookkeeping and calls ``arrows``, which has its own reference
-above; the search oracle takes the package's placement plan, which
-fixes the order in which copies are found, and the finder oracle takes
-that plan too; the catalogue oracle reuses the level-sequence successor
-and ``tree_code``, which the catalogue only stores).
+first copies without their exits, and the colour-degree check by
+filtering every colouring for a monochromatic copy.  None of it shares
+code paths with the package algorithms it validates (the colour-degree
+oracle is the check's earlier form: it takes every colouring from
+``enumerate_colourings``, the package walk with no pattern to prune on,
+and filters each with ``find_monochromatic_copy``; the arrow-sweep
+oracle checks the sweep's bookkeeping and calls ``arrows``, which has
+its own reference above; the search oracle takes the package's
+placement plan, which fixes the order in which copies are found, and
+the finder oracle takes that plan too; the catalogue oracle reuses the
+level-sequence successor and ``tree_code``, which the catalogue only
+stores).
 """
 
 from __future__ import annotations
@@ -26,9 +31,9 @@ import itertools
 import random
 from fractions import Fraction
 
-from ramsey_lab.arrows import arrows
+from ramsey_lab.arrows import ColourDegreeParams, arrows, enumerate_colourings
 from ramsey_lab.gnp import pair_uniforms
-from ramsey_lab.graphs import Graph, contains, norm_edge
+from ramsey_lab.graphs import Graph, colour_degree, contains, find_monochromatic_copy, norm_edge
 
 
 def naive_copy(host: Graph, chi, pattern: Graph, kind: str) -> bool:
@@ -269,7 +274,8 @@ def reference_arrows(g: Graph, h1: Graph, h2: Graph) -> tuple[bool, int, tuple[i
     """(verdict, colourings examined, counterexample colours) of G -> (H1, H2).
 
     Mirrors the contract of ``ramsey_lab.arrows.arrows``: a pattern that
-    does not embed at all gives the one-colouring certificates; otherwise
+    does not embed at all gives the one-colouring certificates, or Arrows
+    with every one of the Bell(e) colourings counted; otherwise
     restricted-growth strings are searched in lexicographic order, every
     prefix is tested with ``naive_copy`` and a prefix holding a pattern
     counts all its completions as examined.
@@ -278,11 +284,11 @@ def reference_arrows(g: Graph, h1: Graph, h2: Graph) -> tuple[bool, int, tuple[i
     if not naive_copy(g, None, h1, "plain"):
         if h2.e >= 2 or not naive_copy(g, None, h2, "plain"):
             return False, 1, (0,) * m
-        return True, 0, None
+        return True, _growth_strings(0, m), None
     if not naive_copy(g, None, h2, "plain"):
         if h1.e >= 2:
             return False, 1, tuple(range(m))
-        return True, 0, None
+        return True, _growth_strings(0, m), None
 
     edges = sorted(g.edges)
     values: list[int] = []
@@ -311,6 +317,26 @@ def reference_arrows(g: Graph, h1: Graph, h2: Graph) -> tuple[bool, int, tuple[i
 
     found = search(0)
     return found is None, examined, found
+
+
+def colour_degree_oracle(g: Graph, params: ColourDegreeParams):
+    """(holds, witness colouring, witness set) of the colour-degree spread
+    property: every colouring of E(g), in the arrowing search's order,
+    filtered by ``find_monochromatic_copy``, then every subset of at
+    least b * n vertices in increasing bitmask order."""
+    n = g.n
+    subsets = [
+        tuple(v for v in range(n) if s >> v & 1)
+        for s in range(1, 1 << n)
+        if s.bit_count() >= params.b * n
+    ]
+    for chi in enumerate_colourings(g):
+        if find_monochromatic_copy(g, chi, params.pattern) is not None:
+            continue
+        for xs in subsets:
+            if not any(colour_degree(g, chi, v, xs) > params.r for v in xs):
+                return False, chi, xs
+    return True, None, None
 
 
 def containment_column_oracle(n: int, pattern: Graph, grid, seed: int, trial: int) -> list[bool]:

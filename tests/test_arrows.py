@@ -28,7 +28,7 @@ from ramsey_lab.graphs import (
     star,
 )
 
-from oracles import naive_copy, reference_arrows
+from oracles import colour_degree_oracle, naive_copy, reference_arrows
 
 
 def bell_triangle(m: int) -> int:
@@ -227,7 +227,7 @@ def test_pruned_search_equals_plain_enumeration():
         )
         verdict = arrows(g, h1, h2)
         assert verdict.arrows == plain
-        if verdict.arrows and verdict.colourings_examined:
+        if verdict.arrows:
             assert verdict.colourings_examined == bell_number(g.e)
 
 
@@ -308,3 +308,22 @@ def test_arrows_matches_prefix_reference(g, h1, h2):
     verdict = arrows(g, h1, h2)
     cx = verdict.counterexample.colours if verdict.counterexample is not None else None
     assert (verdict.arrows, verdict.colourings_examined, cx) == reference_arrows(g, h1, h2)
+
+
+COLOUR_DEGREE_PATTERNS = [parse_graph(t) for t in ("K2", "K1,2", "P3", "M2", "K3")] + [Graph.of(1), Graph.of(7)]
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(
+    small_hosts(),
+    st.sampled_from(COLOUR_DEGREE_PATTERNS),
+    st.sampled_from([Fraction(1, 2), Fraction(1)]),
+    st.sampled_from([2, 3]),
+)
+def test_colour_degree_property_matches_enumerate_and_filter(g, pattern, b, r):
+    """The pruned walk's colourings give the holds flag, witness colouring
+    and witness set of filtering every colouring for a monochromatic
+    copy; Graph.of(1) fits every host and Graph.of(7) none."""
+    params = ColourDegreeParams(b, r, pattern)
+    verdict = check_colour_degree_property(g, params)
+    assert (verdict.holds, verdict.witness_colouring, verdict.witness_set) == colour_degree_oracle(g, params)

@@ -32,6 +32,9 @@ def test_classify_command(capsys):
 def test_arrow_command(capsys):
     code, out, _ = run(capsys, "arrow", "--g", "P2", "--h1", "K1,2", "--h2", "K1,2")
     assert code == 0 and out == "Arrows (2 colourings examined)\n"
+    # every copy of K2 is rainbow, so all Bell(3) colourings are settled
+    code, out, _ = run(capsys, "arrow", "--g", "K3", "--h1", "K4", "--h2", "K2")
+    assert code == 0 and out == "Arrows (5 colourings examined)\n"
     code, out, _ = run(capsys, "arrow", "--g", "P3", "--h1", "M2", "--h2", "P3")
     assert code == 0 and out.startswith("NotArrows (counterexample:")
     assert "(0,1)=0 (1,2)=0 (2,3)=1" in out
@@ -305,6 +308,8 @@ def test_refusal_lines(capsys):
         ("arrow", "--g", "K4", "--h1", "K3", "--h2", "P3", "--edge-budget", "5"):
             "refused: 6 edges exceeds the colouring search budget of 5;"
             " raise edge_budget to force the search\n",
+        ("mf", "--h1", "K1,2", "--h2", "P3", "--vertex-budget", "0"): "refused: vertex budget must be >= 1\n",
+        ("threshold", "--h1", "K1,2", "--h2", "P3", "--vertex-budget", "-3"): "refused: vertex budget must be >= 1\n",
     }
     for argv, line in refusals.items():
         assert run(capsys, *argv) == (1, "", line)
