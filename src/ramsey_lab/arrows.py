@@ -150,9 +150,6 @@ def _restricted_growth(
     class_size: list[int] = []
     counts: dict[tuple[int, int], int] = {}
 
-    def colour(u: int, v: int) -> int:
-        return nbr_colour[u][v]
-
     def assign(i: int, c: int) -> None:
         a, b = edges[i]
         values[i] = c
@@ -180,12 +177,12 @@ def _restricted_growth(
     def settles(i: int) -> bool:
         """Does a copy run through edge i, the newest coloured one?"""
         c = values[i]
-        if class_size[c] >= e1 and has_copy_through(h1, plans1, n, class_adj[c], edges[i]):
+        if class_size[c] >= e1 and has_copy_through(h1, plans1, class_adj[c], edges[i]):
             return True
         return (
             i + 1 >= e2
             and blocks[i + 1] >= e2
-            and has_copy_through(h2, plans2, n, nbr_colour, edges[i], colour)
+            and has_copy_through(h2, plans2, nbr_colour, edges[i], True)
         )
 
     examined = 0

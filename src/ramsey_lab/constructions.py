@@ -279,26 +279,23 @@ def _first_fresh(stars: list[_Star], used: set[int], where: str) -> _Star:
     raise AssertionError(f"ran out of fresh star colours {where}")
 
 
-def _claim_cherries(tree, fn, s: int) -> Embedding | Sequence[int]:
-    """The star-collection branch of the height-3 search.
-
-    Returns a copy, either monochromatic (collected stars pigeonholed
-    into one colour) or s rainbow cherries, each centred one level below
-    a star of fresh colour.  Otherwise returns the pool, the root's
-    children or one star's leaves, where too few vertices have low
-    colour-degree; the cherry greedy then runs on it.
-    """
+def _claim_cherries(tree, fn, s: int) -> Embedding | None:
+    """The height-3 witness search: a monochromatic copy (collected stars
+    pigeonholed into one colour) or s rainbow cherries, each centred one
+    level below a star of fresh colour.  Where too few vertices of a pool
+    (the root's children or one star's leaves) have low colour-degree,
+    the cherry greedy's answer on that pool."""
     pool = tree.child_list(tree.root)
     top = _collect_stars(tree, fn, pool, s)
     if not isinstance(top, list):
-        return pool if top is None else top
+        return _greedy_rainbow_cherries(tree, fn, pool, s) if top is None else top
     used: set[int] = set()
     mapping: list[int] = []
     for _ in range(s):
         colour_i, v_i, w_i = _first_fresh(top, used, "at the top level")
         sub = _collect_stars(tree, fn, w_i, s)
         if not isinstance(sub, list):
-            return w_i if sub is None else sub
+            return _greedy_rainbow_cherries(tree, fn, w_i, s) if sub is None else sub
         colour_z, z_i, z_leaves = _first_fresh(sub, used | {colour_i}, "one level down")
         mapping += [z_i, v_i, z_leaves[0]]  # cherry centred at z_i
         used.update({colour_i, colour_z})
@@ -306,33 +303,30 @@ def _claim_cherries(tree, fn, s: int) -> Embedding | Sequence[int]:
 
 
 def _greedy_rainbow_cherries(tree, fn, pool: Sequence[int], s: int) -> Embedding | None:
-    """Backtracking greedy for s vertex-disjoint cherries with 2s
-    pairwise distinct colours.
+    """s vertex-disjoint cherries with 2s pairwise distinct colours, in
+    one forward pass: centres ascend, and each takes the two least of
+    its first three fresh colours, in neighbour order, or is skipped.
 
-    Centres are tried in increasing order; each offers the two least of
-    its first three fresh colours, in neighbour order.  The pool is any
-    set of probed vertices; whenever the star collection fails it
-    contains well over 3s vertices of colour-degree at least 3s, which
-    is what makes the greedy feasible."""
-    centres = sorted(set(pool))
-
-    def build(used_v: set[int], used_c: set[int], acc: list[int]) -> Embedding | None:
-        if len(acc) == 3 * s:
-            return Embedding(star_forest([2] * s), tuple(acc), "rainbow")
-        for v in centres:
-            if v in used_v:
-                continue
-            groups = _by_colour(fn, v, [w for w in tree.neighbours(v) if w not in used_v])
-            fresh = [(c, ws[0]) for c, ws in groups.items() if c not in used_c][:3]
-            if len(fresh) < 2:
-                continue
-            (c1, w1), (c2, w2) = sorted(fresh)[:2]
-            got = build(used_v | {v, w1, w2}, used_c | {c1, c2}, acc + [v, w1, w2])
-            if got is not None:
-                return got
-        return None
-
-    return build(set(), set(), [])
+    No choice needs undoing.  The pool is a set of siblings, so a placed
+    cherry takes at most one neighbour (their parent) from a later
+    centre; with fewer than s placed, at most 2s - 2 colours are used,
+    so a centre of colour-degree at least 3s keeps s + 1 >= 3 fresh
+    colours.  The greedy runs only where at least 3s such centres exist."""
+    used_v: set[int] = set()
+    used_c: set[int] = set()
+    mapping: list[int] = []
+    for v in sorted(set(pool)):
+        groups = _by_colour(fn, v, [w for w in tree.neighbours(v) if w not in used_v])
+        fresh = [(c, ws[0]) for c, ws in groups.items() if c not in used_c][:3]
+        if len(fresh) < 2:
+            continue
+        (c1, w1), (c2, w2) = sorted(fresh)[:2]
+        used_v.update((v, w1, w2))
+        used_c.update((c1, c2))
+        mapping += [v, w1, w2]
+        if len(mapping) == 3 * s:
+            return Embedding(star_forest([2] * s), tuple(mapping), "rainbow")
+    return None
 
 
 def find_mono_or_rainbow(tree, chi, s: int) -> Embedding:
@@ -352,8 +346,6 @@ def find_mono_or_rainbow(tree, chi, s: int) -> Embedding:
         raise DomainError("host must be the height-3 constellation arrow tree")
     fn = as_colour_fn(chi)
     witness = _claim_cherries(tree, fn, s)
-    if not isinstance(witness, Embedding):
-        witness = _greedy_rainbow_cherries(tree, fn, witness, s)
     if witness is None:
         raise AssertionError(
             "height-3 witness search failed on both branches; the host does not"

@@ -10,13 +10,13 @@ samples monotonically: raising p only ever adds edges.  Every sample
 reads one draw: the trial's stream is read once, and the pairs whose
 uniform lies below the largest probability wanted are kept, sorted by
 uniform (ties by pair index).  G(n, p) is then a prefix of that draw.
-Each trial of a sweep returns one column, an outcome per grid point.  A
-containment trial is evaluated as a hitting time along the draw, as in
-the random graph process: its pairs join an empty graph in order until
-the first copy of the pattern appears, and the uniform of the edge that
-completed it decides every grid point at once.  An arrow trial reads
-each grid point's sample size off the draw, and decides a sample within
-the edge cap with a full ``arrows`` search.
+Each trial of a sweep returns one column, an outcome per grid point.
+Containing a pattern and arrowing a pair both survive an added edge, so
+a trial is a hitting time, as in the random graph process: the least
+sample of the draw with the property decides every grid point.  A
+containment trial adds the draw's pairs until a copy appears; an arrow
+trial decides its distinct sample sizes within the edge cap in
+increasing order with ``arrows``, up to the first that arrows.
 """
 
 from __future__ import annotations
@@ -178,7 +178,7 @@ def containment_column(
     for added, ((u, _), (a, b)) in enumerate(zip(draw, _pairs(n, draw)), 1):
         adj[a].add(b)
         adj[b].add(a)
-        if added >= need and has_copy_through(pattern, plans, n, adj, (a, b)):
+        if added >= need and has_copy_through(pattern, plans, adj, (a, b)):
             tau = u
             break
     return [tau < p for p in ps]
@@ -209,21 +209,19 @@ def arrow_column(
     """Whether trial ``trial`` of G(n, p) arrows (h1, h2), for each p in ``ps``.
 
     Every p is checked first, then the trial is drawn once up to
-    max(ps).  A grid point's edge count is the number of drawn uniforms
-    below its p; a sample with more than ``edge_cap`` edges is undecided
-    (None), never guessed, and is not built.  Any other sample is the
-    prefix of the draw below p, decided by ``arrows``.
+    max(ps).  A grid point's sample is the prefix of the draw below its
+    p; one with more than ``edge_cap`` edges is undecided (None), never
+    guessed, and is not built.  The others share one hitting time: the
+    sizes go to ``arrows`` in increasing order until one arrows.
     """
     ps = [_probability(p) for p in ps]
     draw = _process(n, seed, trial, max(ps, default=0.0))
-    us = [u for u, _ in draw]
-    sizes = [bisect.bisect_left(us, p) for p in ps]
-    longest = max((m for m in sizes if m <= edge_cap), default=0)
-    edges = list(itertools.islice(_pairs(n, draw), longest))
-    return [
-        None if m > edge_cap else arrows(Graph.of(n, edges[:m]), h1, h2, edge_budget=edge_cap).arrows
-        for m in sizes
-    ]
+    sizes = [bisect.bisect_left(draw, (p,)) for p in ps]  # (p,) sorts before every (p, i)
+    edges = list(_pairs(n, draw[: max(edge_cap, 0)]))
+    decided = sorted({m for m in sizes if m <= edge_cap})
+    arrowing = (m for m in decided if arrows(Graph.of(n, edges[:m]), h1, h2, edge_budget=edge_cap).arrows)
+    least = next(arrowing, math.inf)  # the hitting time, as a sample size
+    return [None if m > edge_cap else m >= least for m in sizes]
 
 
 def arrow_sweep(

@@ -285,18 +285,18 @@ def _plan(pattern: Graph, pinned: Edge | None = None) -> Plan:
 
 def _search(
     pattern: Graph,
-    host_n: int,
     host_adj,
-    rainbow_colour: Callable[[int, int], int] | None,
+    rainbow: bool = False,
     plan: Plan | None = None,
     pin: Edge | None = None,
 ) -> tuple[int, ...] | None:
     """Backtracking embedding search; returns a vertex map or None.
 
-    ``host_adj`` may be any indexable of neighbour sets (or of mappings
-    keyed by neighbour), so callers can restrict the usable edges (the
-    monochromatic finder passes one colour class).  ``rainbow_colour``
-    activates the pairwise-distinct colour constraint.  Vertices are
+    ``host_adj`` lists, per host vertex, its usable neighbours, so
+    callers can restrict the usable edges (the monochromatic finder
+    passes one colour class).  ``rainbow`` activates the
+    pairwise-distinct colour constraint; ``host_adj[v]`` must then map
+    each neighbour w to the colour of the edge vw.  Vertices are
     placed in the order of ``plan`` (by default ``_plan(pattern)``) and
     host candidates ascend, so the first embedding found is
     deterministic.  ``pin`` = (a, b) places the plan's first two
@@ -311,7 +311,7 @@ def _search(
     position on an explicit stack, so no recursion depth grows with the
     pattern.
     """
-    vp = pattern.n
+    vp, host_n = pattern.n, len(host_adj)
     if vp > host_n:
         return None
     order, placed_nbrs, need = _plan(pattern) if plan is None else plan
@@ -326,8 +326,8 @@ def _search(
             return None
         mapping[order[0]], mapping[order[1]] = a, b
         used_host.update(pin)
-        if rainbow_colour is not None:
-            used_colours.add(rainbow_colour(a, b))
+        if rainbow:
+            used_colours.add(host_adj[a][b])
         start = 2
     if start == vp:
         return tuple(mapping)
@@ -353,8 +353,8 @@ def _search(
                 if w not in host_adj[a]:
                     ok = False
                     break
-                if rainbow_colour is not None:
-                    c = rainbow_colour(a, w)
+                if rainbow:
+                    c = host_adj[a][w]
                     if c in used_colours or c in new_colours:
                         ok = False
                         break
@@ -398,31 +398,26 @@ def edge_orbit_plans(pattern: Graph) -> tuple[Plan, ...]:
     plans: list[Plan] = []
     for u, v in pattern.sorted_edges:
         for xy in ((u, v), (v, u)):
-            if not any(_search(pattern, pattern.n, pattern.adj, None, p, xy) is not None for p in plans):
+            if not any(_search(pattern, pattern.adj, False, p, xy) is not None for p in plans):
                 plans.append(_plan(pattern, xy))
     return tuple(plans)
 
 
 def has_copy_through(
-    pattern: Graph,
-    plans: tuple[Plan, ...],
-    host_n: int,
-    host_adj,
-    edge: Edge,
-    rainbow_colour: Callable[[int, int], int] | None = None,
+    pattern: Graph, plans: tuple[Plan, ...], host_adj, edge: Edge, rainbow: bool = False
 ) -> bool:
     """Is there a copy of ``pattern`` that uses the host edge ``edge``?
 
     ``plans`` are ``edge_orbit_plans(pattern)``; ``host_adj`` and
-    ``rainbow_colour`` are as for ``_search``, and ``host_adj`` must hold
+    ``rainbow`` are as for ``_search``, and ``host_adj`` must hold
     ``edge``.
     """
-    return any(_search(pattern, host_n, host_adj, rainbow_colour, p, edge) is not None for p in plans)
+    return any(_search(pattern, host_adj, rainbow, p, edge) is not None for p in plans)
 
 
 def find_embedding(host: Graph, pattern: Graph) -> Embedding | None:
     """A copy of ``pattern`` in ``host`` under subgraph semantics."""
-    m = _search(pattern, host.n, host.adj, None)
+    m = _search(pattern, host.adj)
     return Embedding(pattern, m) if m is not None else None
 
 
@@ -440,7 +435,7 @@ def find_monochromatic_copy(host: Graph, chi: "ColourLike", pattern: Graph) -> E
     order, and its classes are read from that.
     """
     if pattern.e == 0:
-        m = _search(pattern, host.n, host.adj, None)
+        m = _search(pattern, host.adj)
         return Embedding(pattern, m, "monochromatic") if m is not None else None
     if not (isinstance(chi, Colouring) and chi.edges == host.sorted_edges):
         chi = Colouring.from_function(host, as_colour_fn(chi))
@@ -451,7 +446,7 @@ def find_monochromatic_copy(host: Graph, chi: "ColourLike", pattern: Graph) -> E
         for u, v in edges:
             adj[u].add(v)
             adj[v].add(u)
-        m = _search(pattern, host.n, adj, None)
+        m = _search(pattern, adj)
         if m is not None:
             return Embedding(pattern, m, "monochromatic")
     return None
@@ -465,8 +460,9 @@ def find_rainbow_copy(host: Graph, chi: "ColourLike", pattern: Graph) -> Embeddi
     """
     if isinstance(chi, Colouring) and chi.n_colours < pattern.e:
         return None
-    fn = as_colour_fn(chi) if pattern.e else None
-    m = _search(pattern, host.n, host.adj, fn)
+    fn = as_colour_fn(chi)
+    coloured = [{w: fn(v, w) for w in host.adj[v]} for v in range(host.n)]
+    m = _search(pattern, coloured, True)
     return Embedding(pattern, m, "rainbow") if m is not None else None
 
 
@@ -690,6 +686,8 @@ def rooted_code(g: Graph, root: int) -> str:
     Children are coded before their parent by walking a breadth-first
     order backwards, so no recursion depth grows with the tree.
     """
+    if not g.is_forest or len(g.components) != 1:
+        raise DomainError("rooted_code requires a single tree")
     order, parent, _ = _bfs(g, root)
     subs: dict[int, list[str]] = {v: [] for v in order}
     for v in reversed(order[1:]):

@@ -223,6 +223,16 @@ def _level_candidates(k: int, copies_cap: int, vertex_budget: int) -> list[tuple
     ]
 
 
+def check_budgets(vertex_budget: int = DEFAULT_VERTEX_BUDGET, copies_cap: int = DEFAULT_COPIES_CAP, **_) -> None:
+    """Refuse the budgets ``solve`` cannot honour; its other options pass."""
+    if copies_cap < 1:
+        # with no candidates every level would read as exhausted
+        raise DomainError("copies cap must be >= 1")
+    if vertex_budget < 1:
+        # the fallback record would name a level below 2
+        raise DomainError("vertex budget must be >= 1")
+
+
 def solve(
     h1: Graph,
     h2: Graph,
@@ -239,12 +249,7 @@ def solve(
     construction tree's.
     """
     _check_scope(h1, h2)
-    if copies_cap < 1:
-        # with no candidates every level would read as exhausted
-        raise DomainError("copies cap must be >= 1")
-    if vertex_budget < 1:
-        # the fallback record would name a level below 2
-        raise DomainError("vertex budget must be >= 1")
+    check_budgets(vertex_budget, copies_cap)
     h1, h2 = strip_isolated(h1), strip_isolated(h2)
 
     levels: list[LevelRecord] = []

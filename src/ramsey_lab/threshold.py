@@ -102,8 +102,9 @@ def threshold(
     symbolic answer without running the forest search (useful when only
     the dispatch itself is of interest).  ``density_budget`` is the
     vertex budget of the m and m2 walks; ``mf_options`` are forwarded
-    to the forest search.
+    to the forest search, and checked before any case is dispatched.
     """
+    mf.check_budgets(**mf_options)
     fired = fired_clauses(h1, h2)
     if len(fired) != 1:
         raise AssertionError(f"expected exactly one clause, got {fired}")

@@ -9,7 +9,8 @@ testing every prefix of a colouring search with ``naive_copy``,
 containment and arrow sweeps by a fresh sample and a full search per
 grid point, the embedding search by the recursion it had before its
 candidate filter, the tree catalogue by coding every rooted level
-sequence again, a level's forest candidates by chaining
+sequence again, optimal path-product labellings by trying every
+labelling, a level's forest candidates by chaining
 ``disjoint_union`` over every shape multiset, and the copy finders'
 first copies without their exits, and the colour-degree check by
 filtering every colouring for a monochromatic copy.  None of it shares
@@ -114,6 +115,44 @@ def rooted_code_oracle(g: Graph, root: int) -> str:
         return "(" + "".join(subs) + ")"
 
     return code(root, -1)
+
+
+def best_labelling_oracle(h: Graph) -> tuple[int, int, dict]:
+    """(value, root, labels) of the labelling ``min_max_path_product``
+    returns, by trying every labelling: roots ascend, one per rooted
+    isomorphism class, and at each root the labels 1..e(h) go onto the
+    child edges in breadth-first order (by depth, then vertex) in every
+    permutation, lexicographically; the first strictly better one is
+    kept."""
+    best = None
+    seen = set()
+    for root in range(h.n):
+        code = rooted_code_oracle(h, root)
+        if code in seen:
+            continue
+        seen.add(code)
+        parent, depth, stack = {root: -1}, {root: 0}, [root]
+        while stack:
+            v = stack.pop()
+            for w in h.adj[v]:
+                if w not in parent:
+                    parent[w], depth[w] = v, depth[v] + 1
+                    stack.append(w)
+        child_of = sorted((v for v in range(h.n) if v != root), key=lambda v: (depth[v], v))
+        edges = [norm_edge(parent[v], v) for v in child_of]
+        leaves = [v for v in child_of if h.degree(v) == 1]
+        for labels in itertools.permutations(range(1, h.e + 1)):
+            lab = dict(zip(edges, labels))
+            worst = 0
+            for v in leaves:
+                prod = 1
+                while parent[v] >= 0:
+                    prod *= lab[norm_edge(parent[v], v)]
+                    v = parent[v]
+                worst = max(worst, prod)
+            if best is None or worst < best[0]:
+                best = (worst, root, lab)
+    return best
 
 
 def isomorphic(a: Graph, b: Graph) -> bool:
@@ -366,7 +405,7 @@ def arrow_column_oracle(n: int, h1: Graph, h2: Graph, grid, seed: int, trial: in
     return out
 
 
-def search_oracle(pattern: Graph, host_n: int, host_adj, rainbow_colour, plan, pin=None):
+def search_oracle(pattern: Graph, host_adj, rainbow: bool, plan, pin=None):
     """The embedding search without candidate filters, by plain recursion.
 
     Takes the same arguments as ``ramsey_lab.graphs._search``, with the
@@ -374,7 +413,7 @@ def search_oracle(pattern: Graph, host_n: int, host_adj, rainbow_colour, plan, p
     neighbours are read), and tries host candidates in the same order,
     so it returns the first embedding in that order, or None.
     """
-    vp = pattern.n
+    vp, host_n = pattern.n, len(host_adj)
     if vp > host_n:
         return None
     order, placed_nbrs = plan[0], plan[1]
@@ -386,8 +425,8 @@ def search_oracle(pattern: Graph, host_n: int, host_adj, rainbow_colour, plan, p
         a, b = pin
         mapping[order[0]], mapping[order[1]] = a, b
         used_host.update(pin)
-        if rainbow_colour is not None:
-            used_colours.add(rainbow_colour(a, b))
+        if rainbow:
+            used_colours.add(host_adj[a][b])
         start = 2
 
     def extend(i: int) -> bool:
@@ -406,8 +445,8 @@ def search_oracle(pattern: Graph, host_n: int, host_adj, rainbow_colour, plan, p
                 if w not in host_adj[a]:
                     ok = False
                     break
-                if rainbow_colour is not None:
-                    c = rainbow_colour(a, w)
+                if rainbow:
+                    c = host_adj[a][w]
                     if c in used_colours or c in new_colours:
                         ok = False
                         break
@@ -486,9 +525,11 @@ def copy_finder_oracle(host: Graph, chi, pattern: Graph, kind: str) -> tuple[int
     from ramsey_lab.graphs import _plan
 
     plan = _plan(pattern)
-    if kind == "rainbow" or pattern.e == 0:
-        colour = chi.colour_of if kind == "rainbow" and pattern.e else None
-        return search_oracle(pattern, host.n, host.adj, colour, plan)
+    if kind == "rainbow":
+        coloured = [{w: chi.colour_of(v, w) for w in host.adj[v]} for v in range(host.n)]
+        return search_oracle(pattern, coloured, True, plan)
+    if pattern.e == 0:
+        return search_oracle(pattern, host.adj, False, plan)
     classes: dict[int, list] = {}
     for u, v in host.sorted_edges:
         classes.setdefault(chi.colour_of(u, v), []).append((u, v))
@@ -497,7 +538,7 @@ def copy_finder_oracle(host: Graph, chi, pattern: Graph, kind: str) -> tuple[int
         for u, v in edges:
             adj[u].add(v)
             adj[v].add(u)
-        m = search_oracle(pattern, host.n, adj, None, plan)
+        m = search_oracle(pattern, adj, False, plan)
         if m is not None:
             return m
     return None

@@ -310,6 +310,28 @@ def test_arrows_matches_prefix_reference(g, h1, h2):
     assert (verdict.arrows, verdict.colourings_examined, cx) == reference_arrows(g, h1, h2)
 
 
+MONOTONE_PATTERNS = [parse_graph(t) for t in ("K2", "P2", "K1,2", "P3", "M2", "K3", "K1,3", "K1,2+K1,2")]
+
+
+@st.composite
+def hosts_with_a_non_edge(draw) -> tuple[Graph, tuple[int, int]]:
+    """A host on at most 7 vertices and 9 edges, and a pair that is not one of its edges."""
+    n = draw(st.integers(2, 7))
+    pairs = draw(st.permutations(list(itertools.combinations(range(n), 2))))
+    size = draw(st.integers(0, min(9, len(pairs) - 1)))
+    return Graph.of(n, pairs[:size]), pairs[size]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(hosts_with_a_non_edge(), st.sampled_from(MONOTONE_PATTERNS), st.sampled_from(MONOTONE_PATTERNS))
+def test_arrowing_survives_an_added_edge(case, h1, h2):
+    """A colouring of G + e restricts to one of G, and a copy in G is a
+    copy in G + e, so a host that arrows keeps arrowing."""
+    g, pair = case
+    if arrows(g, h1, h2).arrows:
+        assert arrows(g.add_edges([pair]), h1, h2).arrows
+
+
 COLOUR_DEGREE_PATTERNS = [parse_graph(t) for t in ("K2", "K1,2", "P3", "M2", "K3")] + [Graph.of(1), Graph.of(7)]
 
 

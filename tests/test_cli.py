@@ -310,6 +310,9 @@ def test_refusal_lines(capsys):
             " raise edge_budget to force the search\n",
         ("mf", "--h1", "K1,2", "--h2", "P3", "--vertex-budget", "0"): "refused: vertex budget must be >= 1\n",
         ("threshold", "--h1", "K1,2", "--h2", "P3", "--vertex-budget", "-3"): "refused: vertex budget must be >= 1\n",
+        # a pair outside the forest search has its budgets checked all the same
+        ("threshold", "--h1", "K3", "--h2", "P3", "--vertex-budget", "0"): "refused: vertex budget must be >= 1\n",
+        ("threshold", "--h1", "K3", "--h2", "P3", "--copies-cap", "0"): "refused: copies cap must be >= 1\n",
     }
     for argv, line in refusals.items():
         assert run(capsys, *argv) == (1, "", line)

@@ -8,6 +8,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracles import arrow_column_oracle, containment_column_oracle
+from ramsey_lab import gnp
+from ramsey_lab.arrows import arrows
 from ramsey_lab.cli import main
 from ramsey_lab.errors import DomainError, GraphParseError
 from ramsey_lab.gnp import (
@@ -314,6 +316,59 @@ def test_arrow_column_property(n, pair, grid, seed, trial, cap):
     us = pair_uniforms(n, seed, trial)
     grid = [_cut_off(p, us) for p in grid]
     assert arrow_column(n, h1, h2, grid, seed, trial, cap) == arrow_column_oracle(n, h1, h2, grid, seed, trial, cap)
+
+
+@st.composite
+def arrow_trials(draw):
+    """n, seed, trial, and a grid holding 0, 1 and a repeated point, the
+    others free or the trial's own uniforms, in any order."""
+    n, seed, trial = draw(st.integers(0, 8)), draw(st.integers(0, 2**16)), draw(st.integers(0, 50))
+    us = pair_uniforms(n, seed, trial)
+    points = [_cut_off(p, us) for p in draw(st.lists(cut_offs, min_size=1, max_size=4))]
+    return n, seed, trial, draw(st.permutations(points + points[:1] + [0.0, 1.0]))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(arrow_trials(), st.sampled_from(ARROW_PAIRS), st.integers(0, 12))
+def test_arrow_column_hitting_time_property(trial_grid, pair, cap):
+    """The hitting-time column equals the per-p search and never turns
+    from True to False as p grows."""
+    n, seed, trial, grid = trial_grid
+    h1, h2 = (parse_graph(spec) for spec in pair)
+    column = arrow_column(n, h1, h2, grid, seed, trial, cap)
+    assert column == arrow_column_oracle(n, h1, h2, grid, seed, trial, cap)
+    for p, here in zip(grid, column):
+        for q, there in zip(grid, column):
+            assert not (p <= q and here and there is False)
+
+
+def test_arrow_column_searches_each_size_once_up_to_the_first_that_arrows(monkeypatch):
+    searched: list[int] = []
+
+    def counting_arrows(g, h1, h2, edge_budget):
+        searched.append(g.e)
+        return arrows(g, h1, h2, edge_budget=edge_budget)
+
+    monkeypatch.setattr(gnp, "arrows", counting_arrows)
+    h1, h2, n, cap = star(2), star(2), 8, 12
+    grid = [0.0, 0.3, 0.5, 0.3, 0.7, 0.5, 0.15, 1.0]
+    stopped_early = repeated = False
+    for t in range(12):
+        searched.clear()
+        column = arrow_column(n, h1, h2, grid, 3, t, cap)
+        assert column == arrow_column_oracle(n, h1, h2, grid, 3, t, cap)
+        us = pair_uniforms(n, 3, t)
+        sizes = [sum(u < p for u in us) for p in grid]
+        within = sorted({m for m in sizes if m <= cap})
+        least = min((m for m, arrowed in zip(sizes, column) if arrowed), default=math.inf)
+        assert searched == [m for m in within if m <= least]
+        stopped_early |= len(searched) < len(within)
+        repeated |= len(within) < len([m for m in sizes if m <= cap])
+    assert stopped_early and repeated
+    # a negative cap leaves every point undecided without a search
+    searched.clear()
+    assert arrow_column(n, h1, h2, grid, 3, 0, -1) == [None] * len(grid)
+    assert searched == []
 
 
 def test_containment_sweep_empty_grid():

@@ -190,6 +190,13 @@ def test_rooted_code_matches_recursive_oracle():
                 assert rooted_code(t, root) == rooted_code_oracle(t, root)
 
 
+def test_rooted_code_refuses_a_graph_that_is_not_a_tree():
+    # its breadth-first order keeps no visited set, so on a cycle it never returned
+    for g in (complete_graph(3), Graph.of(4, [(0, 1), (2, 3)]), Graph.of(0)):
+        with pytest.raises(DomainError, match="rooted_code requires a single tree"):
+            rooted_code(g, 0)
+
+
 def test_tree_code_on_long_path_has_no_recursion_limit():
     # the recursive code needs two frames per level, so a 1501-vertex
     # path exceeded the default limit of 1000; the least code roots the
@@ -496,13 +503,13 @@ def test_filtered_search_finds_the_unfiltered_first_copy(case):
     coloured = [{w: colour(v, w) for w in host.adj[v]} for v in range(n)]
 
     plan = _plan(pattern)
-    for adj, fn in [(host.adj, None), (host.adj, colour), (coloured, colour)] + [(c, None) for c in classes]:
-        assert _search(pattern, n, adj, fn) == search_oracle(pattern, n, adj, fn, plan)
+    for adj, rainbow in [(host.adj, False), (coloured, True)] + [(c, False) for c in classes]:
+        assert _search(pattern, adj, rainbow) == search_oracle(pattern, adj, rainbow, plan)
     for p in edge_orbit_plans(pattern):
         for a, b in host.sorted_edges:
             for pin in ((a, b), (b, a)):
-                for adj, fn in ((host.adj, None), (coloured, colour), (classes[colour(a, b)], None)):
-                    assert _search(pattern, n, adj, fn, p, pin) == search_oracle(pattern, n, adj, fn, p, pin)
+                for adj, rainbow in ((host.adj, False), (coloured, True), (classes[colour(a, b)], False)):
+                    assert _search(pattern, adj, rainbow, p, pin) == search_oracle(pattern, adj, rainbow, p, pin)
 
 
 FINDER_PATTERNS = (

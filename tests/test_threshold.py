@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from ramsey_lab.errors import OpenProblemError
+from ramsey_lab.errors import DomainError, OpenProblemError
 from ramsey_lab.graphs import Graph, matching, parse_graph, star
 from ramsey_lab.mf import solve
 from ramsey_lab.threshold import (
@@ -43,6 +43,16 @@ def test_mf_based_dispatch_example():
     lo, hi = t.bounds
     assert lo <= hi < -1
     assert t.symbol == "-1/m_F"
+
+
+@pytest.mark.parametrize("h1,h2,_q,_label", DISPATCH_TABLE)
+def test_forest_search_budgets_checked_in_every_case(h1, h2, _q, _label):
+    """The budgets are refused before dispatch, also where no forest search runs."""
+    h1, h2 = parse_graph(h1), parse_graph(h2)
+    with pytest.raises(DomainError, match=r"^vertex budget must be >= 1$"):
+        threshold(h1, h2, vertex_budget=0)
+    with pytest.raises(DomainError, match=r"^copies cap must be >= 1$"):
+        threshold(h1, h2, copies_cap=0)
 
 
 def test_non_forest_rainbow_pattern_refused():

@@ -7,6 +7,7 @@ import pytest
 
 from ramsey_lab.errors import BudgetError, DomainError
 from ramsey_lab.graphs import (
+    enumerate_trees,
     find_rainbow_copy,
     norm_edge,
     parse_graph,
@@ -24,7 +25,7 @@ from ramsey_lab.tree_labels import (
 )
 from ramsey_lab.trees import CompleteAryTree, LayeredTree, RootedTree
 
-from oracles import mix_colour, random_tree
+from oracles import best_labelling_oracle, mix_colour, random_tree
 
 
 def test_descendant_counts():
@@ -125,6 +126,16 @@ def test_min_max_path_product_against_unrestricted_labels():
                     worst = max(worst, prod)
                 outer = min(outer, worst)
         assert outer == best
+
+
+@pytest.mark.parametrize("k", range(2, 8))
+def test_pruned_labelling_search_returns_the_first_optimum(k):
+    """Value, root and labels equal those of trying every labelling in
+    the search's order, so the subtree bound cuts no labelling that the
+    search would have returned."""
+    for t in enumerate_trees(k):
+        best = min_max_path_product(t)
+        assert (best.value, best.root, best.labels) == best_labelling_oracle(t)
 
 
 def test_path_products_beat_factorial_root():
