@@ -4,12 +4,15 @@ Randomness comes from SHA-256-keyed Mersenne Twister streams: trial t
 of seed s draws from ``random.Random`` seeded with the digest of
 "s:t", so every row is reproducible bit for bit across platforms and
 independent of evaluation order.  Pair i of the fixed lexicographic
-pair order draws the i-th uniform of the stream, and sweeps reuse one
-uniform per pair across the whole probability grid, which couples the
-samples monotonically: raising p only ever adds edges.  Every sample
-reads one draw: the trial's stream is read once, and the pairs whose
-uniform lies below the largest probability wanted are kept, sorted by
-uniform (ties by pair index).  G(n, p) is then a prefix of that draw.
+pair order owns the i-th uniform of the stream, the value the i-th
+``random()`` call would return, and sweeps reuse one uniform per pair
+across the whole probability grid, which couples the samples
+monotonically: raising p only ever adds edges.  Every sample reads one
+draw: the trial's stream is read once, as raw words, and a pair's
+uniform is formed only if the high byte of its first word shows that it
+can lie below the largest probability wanted.  The pairs below it are
+kept, sorted by uniform (ties by pair index), and G(n, p) is a prefix
+of that draw.
 Each trial of a sweep returns one column, an outcome per grid point.
 Containing a pattern and arrowing a pair both survive an added edge, so
 a trial is a hitting time, as in the random graph process: the least
@@ -27,8 +30,10 @@ import functools
 import hashlib
 import itertools
 import math
+import operator
 import os
 import random
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Sequence
@@ -61,20 +66,63 @@ def _probability(p) -> float:
     return p
 
 
+_BLOCK = 4096  # pairs per raw read of a trial's stream: 32 KiB
+
+
+def _little_words(raw: bytes):
+    """The 32-bit words of ``raw``, read little-endian on every host: a
+    view of ``raw`` where that is the native order, else a swapped copy."""
+    if sys.byteorder == "little":
+        return memoryview(raw).cast("I")
+    import array  # here, so that little-endian processes never load it
+
+    words = array.array("I", raw)
+    words.byteswap()
+    return words
+
+
 def _process(n: int, seed: int, trial: int, top: float) -> list[tuple[float, int]]:
     """The (uniform, pair index) pairs of trial ``trial`` with uniform
     below ``top``, in increasing order (ties by pair index).
 
-    The uniforms are those of ``pair_uniforms(n, seed, trial)``, read in
-    one pass without storing the ones above ``top``; index i names pair
-    i of ``pair_order(n)``.  Sorted this way, the draw is the trial's
-    random graph process up to ``top``: G(n, p) for any p <= top is the
-    prefix of pairs with uniform below p.
+    The uniforms are those of ``pair_uniforms(n, seed, trial)``; index i
+    names pair i of ``pair_order(n)``.  Sorted this way, the draw is the
+    trial's random graph process up to ``top``: G(n, p) for any p <= top
+    is the prefix of pairs with uniform below p.
+
+    The stream is read as raw 32-bit words, at most ``_BLOCK`` pairs at
+    a time, and a uniform is formed only for a pair that passes a gate
+    on its first word.  ``random()`` reads two words w1, w2 and returns
+    u = ((w1 >> 5) * 2**26 + (w2 >> 6)) / 2**53, and
+    ``getrandbits(64 * k)`` reads the same 2k words with the first in
+    the lowest bits, so in its little-endian bytes pair j's w1 fills
+    bytes 8j..8j+3 and its w2 bytes 8j+4..8j+7.  The high byte h of w1
+    (byte 8j+3) gives u >= (w1 >> 5) / 2**27 >= (h * 2**19) / 2**27 =
+    h / 256.  So u < top forces h < 256 * top, and every kept pair has
+    h <= hi = floor(256 * top) (255 once top >= 1); the gate passes
+    exactly those pairs, and the strict test u < top decides the rest.
     """
+    if not top > 0:  # no uniform lies below 0 (or below a NaN)
+        return []
+    hi = 255 if top >= 1 else int(top * 256)
+    gate = bytes(hi + 1) + b"\1" * (255 - hi)  # high byte -> 0 where it may pass
+    rng = trial_rng(seed, trial)
     pairs = n * (n - 1) // 2 if n > 0 else 0  # no pairs to name for a negative n either
-    stream = itertools.starmap(trial_rng(seed, trial).random, itertools.repeat((), pairs))
-    draw = [(u, i) for i, u in enumerate(stream) if u < top]
-    draw.sort()
+    draw = []
+    for start in range(0, pairs, _BLOCK):
+        k = min(_BLOCK, pairs - start)
+        raw = rng.getrandbits(64 * k).to_bytes(8 * k, "little")
+        words = _little_words(raw)
+        high = raw[3::8].translate(gate)
+        j = high.find(0)
+        while j >= 0:
+            # random()'s own arithmetic: every step is exact in a double
+            u = ((words[2 * j] >> 5) * 2.0**26 + (words[2 * j + 1] >> 6)) * 2.0**-53
+            if u < top:
+                draw.append((u, start + j))
+            j = high.find(0, j + 1)
+    # stable on u alone: the draw is in index order, so ties stay by index
+    draw.sort(key=operator.itemgetter(0))
     return draw
 
 

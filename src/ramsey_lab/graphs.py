@@ -301,7 +301,8 @@ def _search(
     host candidates ascend, so the first embedding found is
     deterministic.  ``pin`` = (a, b) places the plan's first two
     vertices, a pattern edge, on the host edge (a, b) before the search
-    starts.
+    starts; a pin whose ends have fewer usable neighbours than those
+    pattern vertices have edges is refused before anything is built.
 
     A host vertex with fewer usable neighbours than the pattern vertex
     has edges cannot take it, so such candidates are skipped before any
@@ -315,6 +316,8 @@ def _search(
     if vp > host_n:
         return None
     order, placed_nbrs, need = _plan(pattern) if plan is None else plan
+    if pin is not None and (len(host_adj[pin[0]]) < need[0] or len(host_adj[pin[1]]) < need[1]):
+        return None
 
     mapping = [-1] * vp
     used_host: set[int] = set()
@@ -322,8 +325,6 @@ def _search(
     start = 0
     if pin is not None:
         a, b = pin
-        if len(host_adj[a]) < need[0] or len(host_adj[b]) < need[1]:
-            return None
         mapping[order[0]], mapping[order[1]] = a, b
         used_host.update(pin)
         if rainbow:

@@ -1,6 +1,9 @@
+import bisect
 import concurrent.futures
 import math
 import os
+import random
+import struct
 from pathlib import Path
 
 import pytest
@@ -294,6 +297,49 @@ def test_sample_gnp_keeps_the_pairs_below_p(n, seed, trial, p):
     p = _cut_off(p, us)
     expect = Graph.of(n, [e for e, u in zip(pair_order(n), us) if u < p])
     assert sample_gnp(n, p, seed, trial) == expect
+
+
+def test_random_is_two_words_of_getrandbits_low_first():
+    # the draw reads the stream as raw words: random() forms its uniform
+    # from two 32-bit words, and getrandbits(64 * k) reads the same words
+    # with the first one in the lowest bits
+    stream, raw = random.Random(5), random.Random(5).getrandbits(64 * 1000)
+    for j in range(1000):
+        w1, w2 = raw >> 64 * j & 0xFFFFFFFF, raw >> 64 * j + 32 & 0xFFFFFFFF
+        assert stream.random() == ((w1 >> 5) * 2**26 + (w2 >> 6)) / 2**53
+    # and the draw reads those words in the same order on any host
+    data = raw.to_bytes(8 * 1000, "little")
+    assert list(gnp._little_words(data)) == list(struct.unpack("<2000I", data))
+
+
+def test_draw_is_the_stream_for_every_small_n():
+    tops = (0.0, 1e-9, 1 / 256, 2 / 256, 0.01, 0.0585, 0.5, 255 / 256, 1.0)
+    for n in range(141):
+        for seed in range(3):
+            stream = sorted((u, i) for i, u in enumerate(pair_uniforms(n, seed, 0)))
+            for top in tops:
+                expect = stream[: bisect.bisect_left(stream, (top,))]
+                assert _process(n, seed, 0, top) == expect, (n, seed, top)
+
+
+# a top at, just below or just above a step k/256 of the draw's high-byte gate
+gate_tops = st.integers(0, 256).flatmap(
+    lambda k: st.sampled_from([k / 256, math.nextafter(k / 256, 0), math.nextafter(k / 256, 1)])
+)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(st.integers(90, 140), st.integers(0, 2**32), st.integers(0, 50), gate_tops)
+@example(140, 0, 0, 0.0)
+@example(140, 0, 0, 1.0)
+@example(92, 3, 1, 1 / 256)
+@example(92, 3, 1, math.nextafter(255 / 256, 1))
+def test_blocked_draw_is_the_stream_at_every_gate_step(n, seed, trial, top):
+    # from n = 92 on the draw reads the stream in two or more blocks
+    us = pair_uniforms(n, seed, trial)
+    assert _process(n, seed, trial, top) == sorted((u, i) for i, u in enumerate(us) if u < top)
+    expect = Graph.of(n, [e for e, u in zip(pair_order(n), us) if u < top])
+    assert sample_gnp(n, top, seed, trial) == expect
 
 
 ARROW_PAIRS = [("K1,2", "K1,2"), ("K1,2", "P3"), ("K3", "P3"), ("M2", "K1,2"), ("K2", "K2")]
