@@ -14,23 +14,26 @@ there are fewer colours than pattern edges, and the monochromatic
 finder reads the colour classes the colouring holds; neither exit
 changes a verdict or the copy found.
 
-All copy finders share one backtracking search, ``_search``.  It runs on
-an explicit stack, so its depth does not grow with the pattern, and it
-skips a host vertex whose usable degree (in the colour class, or in
-the coloured prefix of the anchored check) is below the pattern
-vertex's degree: such a vertex could never extend to a copy, so the
-first copy found is the one the unfiltered search finds.  The search
-plans (``_plan`` and ``edge_orbit_plans``) depend only on the pattern's
-value and are cached by it, never by a host or a verdict.  Trees are
-enumerated from one catalogue per vertex count (``_coded_trees``), which
-keeps each class's canonical code next to its representative.
+All copy finders share one backtracking search, ``_search``, on an
+explicit stack; with ascending candidates it returns the least vertex
+map along its placement order.  Candidates come from the common
+neighbourhood of the placed neighbours' images, a host vertex of too
+small usable degree is skipped, and twin pattern vertices are placed
+in increasing order: no cut loses the least map, so each finder returns
+the copy the unfiltered search finds.  The search plans (``_plan`` and
+``edge_orbit_plans``) depend only on the pattern's value and are cached
+by it, never by a host or a verdict.  Trees are enumerated from one
+catalogue per vertex count (``_coded_trees``), which keeps each class's
+canonical code next to its representative.
 """
 
 from __future__ import annotations
 
 import re
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cache, cached_property, lru_cache
+from heapq import heapify, heappop, heappush
 from typing import Callable, Iterable, Iterator, Mapping
 
 from .errors import DomainError, GraphParseError, n_vertices
@@ -249,7 +252,8 @@ class Embedding:
         return tuple(sorted(norm_edge(m[u], m[v]) for u, v in self.pattern.edges))
 
 
-Plan = tuple[tuple[int, ...], tuple[tuple[int, ...], ...], tuple[int, ...]]
+# placement order, then per position: placed neighbours, degree, twin floor
+Plan = tuple[tuple[int, ...], tuple[tuple[int, ...], ...], tuple[int, ...], tuple[int | None, ...]]
 
 # each plan cache keeps at most this many patterns; a run uses a handful
 PLAN_CACHE_SIZE = 1024
@@ -258,29 +262,42 @@ PLAN_CACHE_SIZE = 1024
 @lru_cache(maxsize=PLAN_CACHE_SIZE)
 def _plan(pattern: Graph, pinned: Edge | None = None) -> Plan:
     """Placement order for ``_search``, and per position the pattern
-    neighbours placed before that vertex and the vertex's degree.
+    neighbours placed before that vertex, its degree and its twin floor.
 
     Without ``pinned``, vertices go in decreasing degree order.  A pinned
     oriented edge (x, y) puts x and y first; each later vertex is then the
     one with the most placed neighbours (ties to higher degree, then lower
-    id), so the candidates of a connected vertex are one host neighbourhood.
-    A plan depends only on the pattern's value (``Graph`` equality is by
-    n and edges), so plans are cached by that value.
+    id), kept in a heap whose stale keys lose to a vertex's current one.
+    Twins u, v have N(u) - {v} = N(v) - {u}: equal open or closed
+    neighbourhoods.  A position's floor is the latest earlier twin of its
+    vertex, never a pinned one.  A plan depends only on the pattern's
+    value (``Graph`` equality is by n and edges) and is cached by it.
     """
-    degree = pattern.degree
+    adj, degree = pattern.adj, pattern.degree
     if pinned is None:
         order = sorted(range(pattern.n), key=lambda v: (-degree(v), v))
     else:
-        order = list(pinned)
-        rest = [v for v in range(pattern.n) if v not in pinned]
-        while rest:
-            placed = set(order)
-            v = min(rest, key=lambda v: (-len(pattern.adj[v] & placed), -degree(v), v))
-            order.append(v)
-            rest.remove(v)
+        order, count = [], [0] * pattern.n  # placed neighbours; None once placed
+        heap = [(-pattern.n - 1, i, v) for i, v in enumerate(pinned)]  # before any count
+        heap += [(0, -degree(v), v) for v in range(pattern.n) if v not in pinned]
+        heapify(heap)
+        while heap:
+            v = heappop(heap)[2]
+            if count[v] is not None:
+                order.append(v)
+                count[v] = None
+                for u in adj[v]:
+                    if count[u] is not None:
+                        count[u] += 1
+                        heappush(heap, (-count[u], -degree(u), u))
     pos = {v: i for i, v in enumerate(order)}
-    placed_nbrs = tuple(tuple(u for u in pattern.adj[v] if pos[u] < pos[v]) for v in order)
-    return tuple(order), placed_nbrs, tuple(degree(v) for v in order)
+    placed_nbrs = tuple(tuple(u for u in adj[v] if pos[u] < pos[v]) for v in order)
+    start = 0 if pinned is None else 2
+    floor, latest = [None] * start, {}  # open or closed neighbourhood -> latest vertex
+    for v in order[start:]:
+        floor.append(latest.get(adj[v], latest.get(adj[v] | {v})))
+        latest[adj[v]] = latest[adj[v] | {v}] = v
+    return tuple(order), placed_nbrs, tuple(degree(v) for v in order), tuple(floor)
 
 
 def _search(
@@ -298,88 +315,96 @@ def _search(
     pairwise-distinct colour constraint; ``host_adj[v]`` must then map
     each neighbour w to the colour of the edge vw.  Vertices are
     placed in the order of ``plan`` (by default ``_plan(pattern)``) and
-    host candidates ascend, so the first embedding found is
-    deterministic.  ``pin`` = (a, b) places the plan's first two
-    vertices, a pattern edge, on the host edge (a, b) before the search
-    starts; a pin whose ends have fewer usable neighbours than those
+    host candidates ascend, so the first embedding found is the least
+    sequence of images in that order.  ``pin`` = (a, b) places the first
+    two vertices of a pinned plan (``_plan(pattern, edge)``) on the host
+    edge (a, b); a pin whose ends have fewer usable neighbours than those
     pattern vertices have edges is refused before anything is built.
 
-    A host vertex with fewer usable neighbours than the pattern vertex
-    has edges cannot take it, so such candidates are skipped before any
-    adjacency test.  The filter only drops candidates that could never
-    extend to a copy, so the first embedding is the one the unfiltered
-    search finds.  The search keeps one candidate iterator per placed
-    position on an explicit stack, so no recursion depth grows with the
-    pattern.
+    Candidates come from the common neighbourhood of the placed
+    neighbours' images, so none needs an adjacency test; a host vertex
+    of smaller usable degree than the pattern vertex is skipped; a
+    vertex with a twin floor takes only images above the floor's:
+    swapping two twins is an automorphism that fixes every other vertex
+    and keeps the image edges, so the least embedding maps the earlier
+    twin lower.  No cut drops the least embedding, which the unfiltered
+    search finds first.  Only a rainbow search tracks colours.
     """
     vp, host_n = pattern.n, len(host_adj)
-    if vp > host_n:
-        return None
-    order, placed_nbrs, need = _plan(pattern) if plan is None else plan
-    if pin is not None and (len(host_adj[pin[0]]) < need[0] or len(host_adj[pin[1]]) < need[1]):
+    order, placed_nbrs, need, floor = _plan(pattern) if plan is None else plan
+    if vp > host_n or pin is not None and (len(host_adj[pin[0]]) < need[0] or len(host_adj[pin[1]]) < need[1]):
         return None
 
     mapping = [-1] * vp
-    used_host: set[int] = set()
-    used_colours: set[int] = set()
-    start = 0
-    if pin is not None:
-        a, b = pin
-        mapping[order[0]], mapping[order[1]] = a, b
-        used_host.update(pin)
-        if rainbow:
-            used_colours.add(host_adj[a][b])
-        start = 2
+    start = 0 if pin is None else 2
+    if start:
+        mapping[order[0]], mapping[order[1]] = pin
     if start == vp:
         return tuple(mapping)
+    used_host = set(pin or ())
+    if rainbow:
+        used_colours = {host_adj[pin[0]][pin[1]]} if start else set()
 
-    # per position: the untried candidates, and the colours its vertex added
-    candidates: list = [None] * vp
-    added: list = [()] * vp
+    candidates: list = [None] * vp  # per position, its untried candidates
     i = start
     while True:
         nbrs = placed_nbrs[i]
         if candidates[i] is None:
-            # a placed pattern neighbour confines the candidates to one host
-            # neighbourhood; unconstrained vertices scan everything
-            candidates[i] = iter(sorted(host_adj[mapping[nbrs[0]]]) if nbrs else range(host_n))
+            f = floor[i]
+            lo = -1 if f is None else mapping[f]
+            if nbrs:
+                ws = host_adj[mapping[nbrs[0]]]
+                for u in nbrs[1:]:
+                    ws = set(ws).intersection(host_adj[mapping[u]])
+                ws = sorted(ws)
+                if lo >= 0:
+                    del ws[: bisect_right(ws, lo)]
+                candidates[i] = iter(ws)
+            else:
+                candidates[i] = iter(range(lo + 1, host_n))
         d = need[i]
-        for w in candidates[i]:
-            if w in used_host or len(host_adj[w]) < d:
-                continue
-            new_colours = []
-            ok = True
-            for u in nbrs:
-                a = mapping[u]
-                if w not in host_adj[a]:
-                    ok = False
+        if not (rainbow and nbrs):
+            for w in candidates[i]:
+                if w not in used_host and len(host_adj[w]) >= d:
                     break
-                if rainbow:
-                    c = host_adj[a][w]
-                    if c in used_colours or c in new_colours:
-                        ok = False
+            else:
+                w = -1
+        elif len(nbrs) == 1:
+            colour = host_adj[mapping[nbrs[0]]]
+            for w in candidates[i]:
+                if w not in used_host and len(host_adj[w]) >= d and colour[w] not in used_colours:
+                    used_colours.add(colour[w])
+                    break
+            else:
+                w = -1
+        else:
+            for w in candidates[i]:
+                if w not in used_host and len(host_adj[w]) >= d:
+                    colours = set()
+                    for u in nbrs:
+                        colours.add(host_adj[mapping[u]][w])
+                    if len(colours) == len(nbrs) and used_colours.isdisjoint(colours):
+                        used_colours |= colours
                         break
-                    new_colours.append(c)
-            if not ok:
-                continue
+            else:
+                w = -1
+        if w >= 0:
             mapping[order[i]] = w
             used_host.add(w)
-            used_colours.update(new_colours)
-            added[i] = new_colours
             i += 1
             if i == vp:
                 return tuple(mapping)
-            break
-        else:
-            # position i is exhausted: undo the placement before it
-            candidates[i] = None
-            i -= 1
-            if i < start:
-                return None
-            v = order[i]
-            used_host.discard(mapping[v])
-            mapping[v] = -1
-            used_colours.difference_update(added[i])
+            continue
+        # position i is exhausted: undo the placement before it
+        candidates[i] = None
+        i -= 1
+        if i < start:
+            return None
+        w = mapping[order[i]]
+        used_host.discard(w)
+        if rainbow:
+            for u in placed_nbrs[i]:
+                used_colours.discard(host_adj[mapping[u]][w])
 
 
 @lru_cache(maxsize=PLAN_CACHE_SIZE)
@@ -392,15 +417,27 @@ def edge_orbit_plans(pattern: Graph) -> tuple[Plan, ...]:
     orbit's representative to (x, y) gives a copy mapping the
     representative onto (a, b).  So pinning every representative to
     (a, b), one orientation only, finds a copy through (a, b) whenever
-    one exists.  Orbit membership is itself a pinned search: an
-    embedding of the pattern into itself is an automorphism.  The plans
-    depend only on the pattern's value and are cached by it.
+    one exists.  Orbit membership is a pinned search of the pattern in
+    itself (a self-embedding is an automorphism), run only where the
+    ends agree in an invariant: the vertex counts at each BFS distance.
+    The plans depend only on the pattern's value and are cached by it.
     """
-    plans: list[Plan] = []
+    adj = pattern.adj
+    invariant = []
+    for s in range(pattern.n):
+        levels, seen, frontier = [], {s}, {s}
+        while frontier:
+            levels.append(len(frontier))
+            frontier = set().union(*(adj[v] for v in frontier)) - seen
+            seen |= frontier
+        invariant.append(tuple(levels))
+    plans, alike = [], {}  # every representative's plan; end invariants -> their plans
     for u, v in pattern.sorted_edges:
         for xy in ((u, v), (v, u)):
-            if not any(_search(pattern, pattern.adj, False, p, xy) is not None for p in plans):
-                plans.append(_plan(pattern, xy))
+            reps = alike.setdefault((invariant[xy[0]], invariant[xy[1]]), [])
+            if not any(_search(pattern, adj, False, p, xy) is not None for p in reps):
+                reps.append(_plan(pattern, xy))
+                plans.append(reps[-1])
     return tuple(plans)
 
 
@@ -413,7 +450,10 @@ def has_copy_through(
     ``rainbow`` are as for ``_search``, and ``host_adj`` must hold
     ``edge``.
     """
-    return any(_search(pattern, host_adj, rainbow, p, edge) is not None for p in plans)
+    for p in plans:
+        if _search(pattern, host_adj, rainbow, p, edge) is not None:
+            return True
+    return False
 
 
 def find_embedding(host: Graph, pattern: Graph) -> Embedding | None:

@@ -554,3 +554,36 @@ def rainbow_tree_params_oracle(d: int, h: int) -> tuple[Fraction, Fraction, int]
     base_c = Fraction(1, 2 * (d1 + 1))
     b, c, r = rainbow_tree_params_oracle(d, h - 1)
     return b * base_c / 2, base_c * c / 2, max(d1 - 1, r)
+
+
+def pinned_order_oracle(pattern: Graph, pinned) -> tuple[int, ...]:
+    """The placement order of a pinned plan, by recounting every step: the
+    pinned ends first, then each time the unplaced vertex with the most
+    placed neighbours, ties to higher degree, then lower id."""
+    order = list(pinned)
+    rest = [v for v in range(pattern.n) if v not in pinned]
+    while rest:
+        placed = set(order)
+        v = min(rest, key=lambda v: (-len(pattern.adj[v] & placed), -pattern.degree(v), v))
+        order.append(v)
+        rest.remove(v)
+    return tuple(order)
+
+
+def orbit_representatives_oracle(pattern: Graph) -> list[tuple[int, int]]:
+    """The oriented edges that start a new orbit under the pattern's
+    automorphisms, in sorted-edge order, each tested by ``search_oracle``
+    against every earlier representative with no invariant pre-check."""
+    reps = []
+    for u, v in sorted(pattern.edges):
+        for xy in ((u, v), (v, u)):
+            plans = [_oracle_plan(pattern, r) for r in reps]
+            if all(search_oracle(pattern, pattern.adj, False, p, xy) is None for p in plans):
+                reps.append(xy)
+    return reps
+
+
+def _oracle_plan(pattern: Graph, pinned):
+    order = pinned_order_oracle(pattern, pinned)
+    pos = {v: i for i, v in enumerate(order)}
+    return order, tuple(tuple(u for u in pattern.adj[v] if pos[u] < pos[v]) for v in order)

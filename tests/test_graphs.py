@@ -41,6 +41,8 @@ from oracles import (
     copy_finder_oracle,
     isomorphic,
     naive_copy,
+    orbit_representatives_oracle,
+    pinned_order_oracle,
     random_canonical_colouring,
     rooted_code_oracle,
     search_oracle,
@@ -578,3 +580,108 @@ def test_cached_plans_equal_fresh_ones():
             assert p == _plan.__wrapped__(g, p[0][:2])
         # the cache is keyed by the pattern's value, not by the object
         assert edge_orbit_plans(Graph.of(g.n, g.edges)) is plans
+
+
+# the patterns with the most twins that the copy search meets: stars,
+# matchings, a clique, a complete bipartite graph, star forests and an
+# isolated vertex next to an edge
+_K23 = Graph.of(5, [(a, b) for a in (0, 1) for b in (2, 3, 4)])
+TWIN_PATTERNS = (
+    tuple(map(parse_graph, ("K1,2", "K1,3", "K1,4", "K1,5", "M2", "M3", "K4")))
+    + (_K23,)
+    + tuple(map(parse_graph, ("K1,2+K1,2", "K1,3+K2", "3; 0 1")))
+)
+
+
+@st.composite
+def twin_search_cases(draw):
+    """A host on at most 8 vertices with a colouring in 1-6 colours, and a
+    pattern from ``TWIN_PATTERNS``."""
+    n = draw(st.integers(1, 8))
+    edges = draw(st.sets(st.sampled_from(list(itertools.combinations(range(n), 2))))) if n > 1 else set()
+    host = Graph.of(n, edges)
+    palette = draw(st.integers(1, 6))
+    chi = Colouring.from_values(host, draw(st.lists(st.integers(0, palette - 1), min_size=host.e, max_size=host.e)))
+    return host, chi, draw(st.sampled_from(TWIN_PATTERNS))
+
+
+_K8 = complete_graph(8)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(twin_search_cases())
+# dense hosts, where every twin floor cuts
+@example((_K8, Colouring.from_values(_K8, [i % 6 for i in range(28)]), _K23))
+@example((_K8, Colouring.from_values(_K8, [i % 5 for i in range(28)]), star(5)))
+def test_twin_ordered_search_finds_the_unfiltered_first_copy(case):
+    host, chi, pattern = case
+    n, colour = host.n, chi.colour_of
+    classes = []
+    for cls in chi.classes():
+        adj = [set() for _ in range(n)]
+        for a, b in cls:
+            adj[a].add(b)
+            adj[b].add(a)
+        classes.append(adj)
+    coloured = [{w: colour(v, w) for w in host.adj[v]} for v in range(n)]
+    plan = _plan(pattern)
+    for adj, rainbow in [(host.adj, False), (coloured, True)] + [(c, False) for c in classes]:
+        assert _search(pattern, adj, rainbow) == search_oracle(pattern, adj, rainbow, plan)
+    for p in edge_orbit_plans(pattern):
+        for a, b in host.sorted_edges:
+            for pin in ((a, b), (b, a)):
+                for adj, rainbow in ((host.adj, False), (coloured, True), (classes[colour(a, b)], False)):
+                    assert _search(pattern, adj, rainbow, p, pin) == search_oracle(pattern, adj, rainbow, p, pin)
+
+
+def _floors(plan):
+    """Position -> the position of its floor, for the positions that have one."""
+    order, floor = plan[0], plan[3]
+    return {i: order.index(f) for i, f in enumerate(floor) if f is not None}
+
+
+def test_plan_floors_chain_unpinned_twins():
+    k14 = star(4)
+    # the three leaves after the pinned one rise in placement order
+    p = _plan(k14, (0, 1))
+    assert p[0] == (0, 1, 2, 3, 4)
+    assert p[3] == (None, None, None, 2, 3)
+    # every vertex of K4 is a twin of every other; only the last position
+    # has an unpinned earlier twin
+    p = _plan(complete_graph(4), (0, 1))
+    assert p[3] == (None, None, None, p[0][2])
+    # a path on five vertices has no twins at all
+    p4 = parse_graph("P4")
+    for p in (_plan(p4),) + edge_orbit_plans(p4):
+        assert p[3] == (None,) * p4.n
+
+
+def test_pinned_ends_are_never_floors():
+    for pattern in TWIN_PATTERNS + (path(2), complete_graph(3), parse_graph("T(2,2)")):
+        plans = [_plan(pattern, xy) for u, v in pattern.sorted_edges for xy in ((u, v), (v, u))]
+        for p, start in [(p, 2) for p in plans] + [(_plan(pattern), 0)]:
+            order, floor = p[0], p[3]
+            for i, j in _floors(p).items():
+                # a floor is an earlier, searched (not pinned) twin
+                assert start <= j < i
+                x, y = order[j], order[i]
+                assert pattern.adj[x] - {y} == pattern.adj[y] - {x}
+            if start:
+                assert floor[:2] == (None, None)
+                assert not set(order[:2]) & set(floor)
+
+
+def test_orbit_plans_match_the_recounted_order_and_exhaustive_orbits():
+    for pattern in TWIN_PATTERNS + (path(6), parse_graph("T(2,2)"), parse_graph("K1,2+K2"), complete_graph(3)):
+        plans = edge_orbit_plans.__wrapped__(pattern)
+        assert [p[0][:2] for p in plans] == orbit_representatives_oracle(pattern)
+        for u, v in pattern.sorted_edges:
+            for xy in ((u, v), (v, u)):
+                assert _plan.__wrapped__(pattern, xy)[0] == pinned_order_oracle(pattern, xy)
+
+
+def test_orbit_plans_of_a_long_path_pair_each_edge_with_its_mirror():
+    # only the reversal maps one oriented edge of a path onto another
+    plans = edge_orbit_plans.__wrapped__(path(200))
+    assert [p[0][:2] for p in plans] == [xy for i in range(100) for xy in ((i, i + 1), (i + 1, i))]
+    assert plans == tuple(_plan.__wrapped__(path(200), p[0][:2]) for p in plans)
