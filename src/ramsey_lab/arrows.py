@@ -19,17 +19,25 @@ only reaches a prefix of i edges when the prefix of i - 1 edges held no
 copy, so the longer prefix holds one exactly when some copy uses edge
 i - 1: a monochromatic H1 through it inside its colour class, or a
 rainbow H2 through it.  Asking only that prunes exactly the nodes a
-check of the whole prefix would.  The colour classes, the prefix
-adjacency and the edge colours are kept up to date as edges are
-coloured and uncoloured, and the pinned searches follow vertex orders
-planned once per pattern (``graphs.edge_orbit_plans``, cached by the
-pattern's value).
+check of the whole prefix would.  The colour classes and the prefix
+adjacency, as int bitmasks, and the edge colours are kept up to date as
+edges are coloured and uncoloured, and the pinned searches follow vertex
+orders planned once per pattern (``graphs.edge_orbit_plans``, cached by
+the pattern's value).
+
+Neither check repeats what the walk has proved.  The monochromatic check
+reads only the class's edge set, whose top bit is the new edge, so a walk
+memoizes it by that bitmask.  With edge i's prefix fixed, one rainbow
+search gives edge i a fresh colour: a rainbow copy with edge i in colour c
+stays rainbow in it, so if none is found no child is rainbow-pruned, and
+a found copy prunes every child c its other edges do not colour.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from typing import Generator, Iterator
 
 from .errors import BudgetError, DomainError
@@ -54,6 +62,7 @@ def enumerate_colourings(g: Graph) -> Iterator[Colouring]:
         yield Colouring.from_values(g, values)
 
 
+@cache
 def _completions(blocks: int, remaining: int) -> int:
     """Number of restricted-growth completions from a prefix state.
 
@@ -144,31 +153,36 @@ def _restricted_growth(
     edges = g.sorted_edges
     values = [0] * m
     blocks = [0] * (m + 1)  # blocks[i]: colours used by the first i edges
-    # the prefix adjacency, holding each coloured edge's colour
+    # the prefix adjacency, and each edge's colour (stale once uncoloured, and never read)
+    prefix = [0] * n
     nbr_colour: list[dict[int, int]] = [{} for _ in range(n)]
-    class_adj: list[list[set[int]]] = []  # per colour, its edges' adjacency
-    class_size: list[int] = []
-    counts: dict[tuple[int, int], int] = {}
+    class_masks: list[list[int]] = []  # per colour, its edges' adjacency
+    class_edges: list[int] = []  # per colour, its edge indices as a bitmask
+    mono: dict[int, bool] = {}  # class edge set -> a copy runs through its top edge
+    free: list = [None] * m  # per edge, its free-colour check: a copy's colours or False
 
     def assign(i: int, c: int) -> None:
         a, b = edges[i]
         values[i] = c
-        blocks[i + 1] = max(blocks[i], c + 1)
+        blocks[i + 1] = blocks[i] if c < blocks[i] else c + 1
+        prefix[a] |= 1 << b
+        prefix[b] |= 1 << a
         nbr_colour[a][b] = nbr_colour[b][a] = c
-        if c == len(class_adj):
-            class_adj.append([set() for _ in range(n)])
-            class_size.append(0)
-        class_adj[c][a].add(b)
-        class_adj[c][b].add(a)
-        class_size[c] += 1
+        if c == len(class_masks):
+            class_masks.append([0] * n)
+            class_edges.append(0)
+        class_masks[c][a] |= 1 << b
+        class_masks[c][b] |= 1 << a
+        class_edges[c] |= 1 << i
 
     def undo(i: int) -> None:
         a, b = edges[i]
         c = values[i]
-        del nbr_colour[a][b], nbr_colour[b][a]
-        class_adj[c][a].discard(b)
-        class_adj[c][b].discard(a)
-        class_size[c] -= 1
+        prefix[a] ^= 1 << b
+        prefix[b] ^= 1 << a
+        class_masks[c][a] ^= 1 << b
+        class_masks[c][b] ^= 1 << a
+        class_edges[c] ^= 1 << i
 
     # a pattern given as None needs m + 1 edges, which no prefix has
     e1, plans1 = (m + 1, ()) if h1 is None else (h1.e, edge_orbit_plans(h1))
@@ -177,12 +191,21 @@ def _restricted_growth(
     def settles(i: int) -> bool:
         """Does a copy run through edge i, the newest coloured one?"""
         c = values[i]
-        if class_size[c] >= e1 and has_copy_through(h1, plans1, class_adj[c], edges[i]):
+        s = class_edges[c]
+        if s.bit_count() >= e1 and s not in mono:
+            mono[s] = has_copy_through(h1, plans1, class_masks[c], edges[i]) is not None
+        if mono.get(s):
             return True
-        return (
-            i + 1 >= e2
-            and blocks[i + 1] >= e2
-            and has_copy_through(h2, plans2, nbr_colour, edges[i], True)
+        if blocks[i + 1] < e2:  # fewer colours than a rainbow copy needs
+            return False
+        if free[i] is None:
+            a, b = edges[i]
+            nbr_colour[a][b] = nbr_colour[b][a] = -1
+            w = has_copy_through(h2, plans2, prefix, edges[i], nbr_colour)
+            free[i] = False if w is None else {nbr_colour[w[x]][w[y]] for x, y in h2.edges}
+            nbr_colour[a][b] = nbr_colour[b][a] = c
+        return free[i] is not False and (
+            c not in free[i] or has_copy_through(h2, plans2, prefix, edges[i], nbr_colour) is not None
         )
 
     examined = 0
@@ -190,10 +213,7 @@ def _restricted_growth(
     while True:
         if i and settles(i - 1):
             # every extension keeps the copy: assigned colours are final
-            key = (blocks[i], m - i)
-            if key not in counts:
-                counts[key] = _completions(*key)
-            examined += counts[key]
+            examined += _completions(blocks[i], m - i)
         elif i < m:
             assign(i, 0)
             i += 1
@@ -212,6 +232,7 @@ def _restricted_growth(
                 assign(i, c + 1)
                 i += 1
                 break
+            free[i] = None  # edge i's prefix changes next
 
 
 def constrained_ramsey_number(

@@ -221,12 +221,12 @@ def containment_column(
         return [pattern.n <= n] * len(ps)
     draw = _process(n, seed, trial, max(ps, default=0.0))
     need = pattern.e
-    adj: list[set[int]] = [set() for _ in range(n)]
+    masks = [0] * n
     tau = math.inf
     for added, ((u, _), (a, b)) in enumerate(zip(draw, _pairs(n, draw)), 1):
-        adj[a].add(b)
-        adj[b].add(a)
-        if added >= need and has_copy_through(pattern, plans, adj, (a, b)):
+        masks[a] |= 1 << b
+        masks[b] |= 1 << a
+        if added >= need and has_copy_through(pattern, plans, masks, (a, b)) is not None:
             tau = u
             break
     return [tau < p for p in ps]

@@ -8,33 +8,33 @@ finders locate a monochromatic or a rainbow embedded copy of a pattern
 graph; both use subgraph (not induced) semantics.  Every found copy,
 here or in a construction, is one ``Embedding`` record whose ``kind``
 says which colour constraint it meets; ``verify_witness`` replays one
-and ``avoids`` checks that a colouring has neither kind of copy.  Given
-a ``Colouring``, the rainbow finder answers None without a search when
-there are fewer colours than pattern edges, and the monochromatic
-finder reads the colour classes the colouring holds; neither exit
-changes a verdict or the copy found.
+and ``avoids`` checks that a colouring has neither kind of copy.  Both
+finders read a colouring as a ``Colouring`` over the host's edge order:
+the rainbow finder answers None without a search when there are fewer
+colours than pattern edges, and the monochromatic finder reads the
+colour classes; neither exit changes a verdict or the copy found.
 
 All copy finders share one backtracking search, ``_search``, on an
-explicit stack; with ascending candidates it returns the least vertex
-map along its placement order.  Candidates come from the common
-neighbourhood of the placed neighbours' images, a host vertex of too
-small usable degree is skipped, and twin pattern vertices are placed
-in increasing order: no cut loses the least map, so each finder returns
-the copy the unfiltered search finds.  The search plans (``_plan`` and
-``edge_orbit_plans``) depend only on the pattern's value and are cached
-by it, never by a host or a verdict.  Trees are enumerated from one
-catalogue per vertex count (``_coded_trees``), which keeps each class's
-canonical code next to its representative.
+explicit stack, over host neighbourhoods held as int bitmasks; with
+ascending candidates it returns the least vertex map along its
+placement order.  A position with placed neighbours ANDs their images'
+masks and tries the bits lowest first, one without scans a range of
+host vertices, a host vertex of too small usable degree is skipped, and
+twin pattern vertices are placed in increasing order: no cut loses the
+least map, so each finder returns the copy the unfiltered search finds.
+The search plans (``_plan`` and ``edge_orbit_plans``) depend only on
+the pattern's value and are cached by it, never by a host or a verdict.
+Trees come from one catalogue per vertex count (``_coded_trees``),
+which keeps each class's canonical code next to its representative.
 """
 
 from __future__ import annotations
 
 import re
-from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cache, cached_property, lru_cache
 from heapq import heapify, heappop, heappush
-from typing import Callable, Iterable, Iterator, Mapping
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .errors import DomainError, GraphParseError, n_vertices
 
@@ -73,6 +73,15 @@ class Graph:
     def sorted_edges(self) -> tuple[Edge, ...]:
         """The fixed edge order used by colourings and enumerations."""
         return tuple(sorted(self.edges))
+
+    @cached_property
+    def masks(self) -> tuple[int, ...]:
+        """Per vertex, its neighbours as a bitmask (bit w for neighbour w)."""
+        masks = [0] * self.n
+        for u, v in self.edges:
+            masks[u] |= 1 << v
+            masks[v] |= 1 << u
+        return tuple(masks)
 
     @cached_property
     def adj(self) -> tuple[frozenset[int], ...]:
@@ -252,7 +261,8 @@ class Embedding:
         return tuple(sorted(norm_edge(m[u], m[v]) for u, v in self.pattern.edges))
 
 
-# placement order, then per position: placed neighbours, degree, twin floor
+# placement order, then per position: placed neighbours (whose images' masks
+# are ANDed; none means a range scan), degree, twin floor (or None)
 Plan = tuple[tuple[int, ...], tuple[tuple[int, ...], ...], tuple[int, ...], tuple[int | None, ...]]
 
 # each plan cache keeps at most this many patterns; a run uses a handful
@@ -302,37 +312,37 @@ def _plan(pattern: Graph, pinned: Edge | None = None) -> Plan:
 
 def _search(
     pattern: Graph,
-    host_adj,
-    rainbow: bool = False,
+    masks: Sequence[int],
+    colours: Sequence[Mapping[int, int]] | None = None,
     plan: Plan | None = None,
     pin: Edge | None = None,
 ) -> tuple[int, ...] | None:
     """Backtracking embedding search; returns a vertex map or None.
 
-    ``host_adj`` lists, per host vertex, its usable neighbours, so
+    ``masks[v]`` is the bitmask of host vertex v's usable neighbours, so
     callers can restrict the usable edges (the monochromatic finder
-    passes one colour class).  ``rainbow`` activates the
-    pairwise-distinct colour constraint; ``host_adj[v]`` must then map
-    each neighbour w to the colour of the edge vw.  Vertices are
-    placed in the order of ``plan`` (by default ``_plan(pattern)``) and
-    host candidates ascend, so the first embedding found is the least
-    sequence of images in that order.  ``pin`` = (a, b) places the first
-    two vertices of a pinned plan (``_plan(pattern, edge)``) on the host
-    edge (a, b); a pin whose ends have fewer usable neighbours than those
-    pattern vertices have edges is refused before anything is built.
+    passes one colour class).  Given ``colours``, the search is rainbow:
+    ``colours[v]`` maps each usable neighbour w to the colour of vw, and
+    image edges take pairwise distinct colours.  Vertices are placed in
+    the order of ``plan`` (by default ``_plan(pattern)``) and candidates
+    ascend, so the first embedding found is the least sequence of images
+    in that order.  ``pin`` = (a, b) places the first two vertices of a
+    pinned plan (``_plan(pattern, edge)``) on the host edge (a, b); a pin
+    whose ends have fewer usable neighbours than those pattern vertices
+    have edges is refused before anything is built.
 
-    Candidates come from the common neighbourhood of the placed
-    neighbours' images, so none needs an adjacency test; a host vertex
-    of smaller usable degree than the pattern vertex is skipped; a
-    vertex with a twin floor takes only images above the floor's:
-    swapping two twins is an automorphism that fixes every other vertex
-    and keeps the image edges, so the least embedding maps the earlier
-    twin lower.  No cut drops the least embedding, which the unfiltered
-    search finds first.  Only a rainbow search tracks colours.
+    A position with placed neighbours tries, lowest bit first, the AND of
+    their images' masks less the used vertices and the bits at or below
+    its twin floor's image; one without scans ``range(lo + 1, host_n)``,
+    so a large host is never one long int.  Vertices of smaller usable
+    degree (``bit_count``) than the pattern vertex are skipped.  Swapping
+    two twins is an automorphism fixing every other vertex, so the least
+    embedding maps the earlier twin lower: no cut drops it, and the
+    unfiltered search finds it first.
     """
-    vp, host_n = pattern.n, len(host_adj)
+    vp, host_n = pattern.n, len(masks)
     order, placed_nbrs, need, floor = _plan(pattern) if plan is None else plan
-    if vp > host_n or pin is not None and (len(host_adj[pin[0]]) < need[0] or len(host_adj[pin[1]]) < need[1]):
+    if vp > host_n or pin is not None and (masks[pin[0]].bit_count() < need[0] or masks[pin[1]].bit_count() < need[1]):
         return None
 
     mapping = [-1] * vp
@@ -341,56 +351,61 @@ def _search(
         mapping[order[0]], mapping[order[1]] = pin
     if start == vp:
         return tuple(mapping)
-    used_host = set(pin or ())
-    if rainbow:
-        used_colours = {host_adj[pin[0]][pin[1]]} if start else set()
+    used = 0 if pin is None else 1 << pin[0] | 1 << pin[1]
+    if colours is not None:
+        used_colours = {colours[pin[0]][pin[1]]} if start else set()
 
-    candidates: list = [None] * vp  # per position, its untried candidates
+    candidates: list = [None] * vp  # per position, its untried candidates: a mask or a range iterator
     i = start
     while True:
-        nbrs = placed_nbrs[i]
-        if candidates[i] is None:
-            f = floor[i]
-            lo = -1 if f is None else mapping[f]
-            if nbrs:
-                ws = host_adj[mapping[nbrs[0]]]
+        nbrs, d, w, ws = placed_nbrs[i], need[i], -1, candidates[i]
+        if ws is None:
+            lo = 0 if floor[i] is None else mapping[floor[i]] + 1
+            if not nbrs:
+                ws = iter(range(lo, host_n))
+            else:
+                ws = masks[mapping[nbrs[0]]] >> lo << lo & ~used
                 for u in nbrs[1:]:
-                    ws = set(ws).intersection(host_adj[mapping[u]])
-                ws = sorted(ws)
-                if lo >= 0:
-                    del ws[: bisect_right(ws, lo)]
-                candidates[i] = iter(ws)
-            else:
-                candidates[i] = iter(range(lo + 1, host_n))
-        d = need[i]
-        if not (rainbow and nbrs):
-            for w in candidates[i]:
-                if w not in used_host and len(host_adj[w]) >= d:
+                    ws &= masks[mapping[u]]
+        if not nbrs:
+            for x in ws:
+                if not used >> x & 1 and masks[x].bit_count() >= d:
+                    w = x
                     break
-            else:
-                w = -1
+        elif colours is None:
+            while ws:
+                low = ws & -ws
+                ws ^= low
+                if masks[low.bit_length() - 1].bit_count() >= d:
+                    w = low.bit_length() - 1
+                    break
         elif len(nbrs) == 1:
-            colour = host_adj[mapping[nbrs[0]]]
-            for w in candidates[i]:
-                if w not in used_host and len(host_adj[w]) >= d and colour[w] not in used_colours:
-                    used_colours.add(colour[w])
+            colour = colours[mapping[nbrs[0]]]
+            while ws:
+                low = ws & -ws
+                ws ^= low
+                x = low.bit_length() - 1
+                if masks[x].bit_count() >= d and colour[x] not in used_colours:
+                    used_colours.add(colour[x])
+                    w = x
                     break
-            else:
-                w = -1
         else:
-            for w in candidates[i]:
-                if w not in used_host and len(host_adj[w]) >= d:
-                    colours = set()
+            while ws:
+                low = ws & -ws
+                ws ^= low
+                x = low.bit_length() - 1
+                if masks[x].bit_count() >= d:
+                    new_colours = set()
                     for u in nbrs:
-                        colours.add(host_adj[mapping[u]][w])
-                    if len(colours) == len(nbrs) and used_colours.isdisjoint(colours):
-                        used_colours |= colours
+                        new_colours.add(colours[mapping[u]][x])
+                    if len(new_colours) == len(nbrs) and used_colours.isdisjoint(new_colours):
+                        used_colours |= new_colours
+                        w = x
                         break
-            else:
-                w = -1
+        candidates[i] = ws
         if w >= 0:
             mapping[order[i]] = w
-            used_host.add(w)
+            used |= 1 << w
             i += 1
             if i == vp:
                 return tuple(mapping)
@@ -401,10 +416,10 @@ def _search(
         if i < start:
             return None
         w = mapping[order[i]]
-        used_host.discard(w)
-        if rainbow:
+        used ^= 1 << w
+        if colours is not None:
             for u in placed_nbrs[i]:
-                used_colours.discard(host_adj[mapping[u]][w])
+                used_colours.discard(colours[mapping[u]][w])
 
 
 @lru_cache(maxsize=PLAN_CACHE_SIZE)
@@ -435,30 +450,30 @@ def edge_orbit_plans(pattern: Graph) -> tuple[Plan, ...]:
     for u, v in pattern.sorted_edges:
         for xy in ((u, v), (v, u)):
             reps = alike.setdefault((invariant[xy[0]], invariant[xy[1]]), [])
-            if not any(_search(pattern, adj, False, p, xy) is not None for p in reps):
+            if not any(_search(pattern, pattern.masks, None, p, xy) is not None for p in reps):
                 reps.append(_plan(pattern, xy))
                 plans.append(reps[-1])
     return tuple(plans)
 
 
 def has_copy_through(
-    pattern: Graph, plans: tuple[Plan, ...], host_adj, edge: Edge, rainbow: bool = False
-) -> bool:
-    """Is there a copy of ``pattern`` that uses the host edge ``edge``?
-
-    ``plans`` are ``edge_orbit_plans(pattern)``; ``host_adj`` and
-    ``rainbow`` are as for ``_search``, and ``host_adj`` must hold
-    ``edge``.
+    pattern: Graph, plans: tuple[Plan, ...], masks: Sequence[int], edge: Edge, colours=None
+) -> tuple[int, ...] | None:
+    """The first copy of ``pattern`` that uses the host edge ``edge``, as
+    a vertex map, or None.  ``plans`` are ``edge_orbit_plans(pattern)``,
+    tried in order; ``masks`` (which must hold ``edge``) and ``colours``
+    are as for ``_search``.
     """
     for p in plans:
-        if _search(pattern, host_adj, rainbow, p, edge) is not None:
-            return True
-    return False
+        m = _search(pattern, masks, colours, p, edge)
+        if m is not None:
+            return m
+    return None
 
 
 def find_embedding(host: Graph, pattern: Graph) -> Embedding | None:
     """A copy of ``pattern`` in ``host`` under subgraph semantics."""
-    m = _search(pattern, host.adj)
+    m = _search(pattern, host.masks)
     return Embedding(pattern, m) if m is not None else None
 
 
@@ -476,18 +491,18 @@ def find_monochromatic_copy(host: Graph, chi: "ColourLike", pattern: Graph) -> E
     order, and its classes are read from that.
     """
     if pattern.e == 0:
-        m = _search(pattern, host.adj)
+        m = _search(pattern, host.masks)
         return Embedding(pattern, m, "monochromatic") if m is not None else None
     if not (isinstance(chi, Colouring) and chi.edges == host.sorted_edges):
         chi = Colouring.from_function(host, as_colour_fn(chi))
     for edges in chi.classes():
         if len(edges) < pattern.e:
             continue
-        adj: list[set[int]] = [set() for _ in range(host.n)]
+        masks = [0] * host.n
         for u, v in edges:
-            adj[u].add(v)
-            adj[v].add(u)
-        m = _search(pattern, adj)
+            masks[u] |= 1 << v
+            masks[v] |= 1 << u
+        m = _search(pattern, masks)
         if m is not None:
             return Embedding(pattern, m, "monochromatic")
     return None
@@ -496,14 +511,18 @@ def find_monochromatic_copy(host: Graph, chi: "ColourLike", pattern: Graph) -> E
 def find_rainbow_copy(host: Graph, chi: "ColourLike", pattern: Graph) -> Embedding | None:
     """A copy of ``pattern`` whose image edges have pairwise distinct colours.
 
-    A ``Colouring`` with fewer colours than the pattern has edges has no
-    rainbow copy by pigeonhole, so no search runs.
+    The colouring is read as ``find_monochromatic_copy`` reads it.  With
+    fewer colours than the pattern has edges there is no rainbow copy by
+    pigeonhole, so no search runs.
     """
-    if isinstance(chi, Colouring) and chi.n_colours < pattern.e:
+    if not (isinstance(chi, Colouring) and chi.edges == host.sorted_edges):
+        chi = Colouring.from_function(host, as_colour_fn(chi))
+    if chi.n_colours < pattern.e:
         return None
-    fn = as_colour_fn(chi)
-    coloured = [{w: fn(v, w) for w in host.adj[v]} for v in range(host.n)]
-    m = _search(pattern, coloured, True)
+    colours: list[dict[int, int]] = [{} for _ in range(host.n)]
+    for (u, v), c in zip(chi.edges, chi.colours):
+        colours[u][v] = colours[v][u] = c
+    m = _search(pattern, host.masks, colours)
     return Embedding(pattern, m, "rainbow") if m is not None else None
 
 

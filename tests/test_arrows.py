@@ -310,6 +310,30 @@ def test_arrows_matches_prefix_reference(g, h1, h2):
     assert (verdict.arrows, verdict.colourings_examined, cx) == reference_arrows(g, h1, h2)
 
 
+@st.composite
+def deeper_hosts(draw) -> Graph:
+    """A host on at most 7 vertices with 8 or 9 edges."""
+    n = draw(st.integers(5, 7))
+    pairs = list(itertools.combinations(range(n), 2))
+    return Graph.of(n, draw(st.permutations(pairs))[: draw(st.integers(8, 9))])
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(
+    deeper_hosts(),
+    st.sampled_from([parse_graph(t) for t in ("M2", "K1,2", "P3", "K3")]),
+    st.sampled_from([parse_graph(t) for t in ("M3", "K1,3", "P3", "K1,2+K1,2", "K3")]),
+)
+def test_arrows_reuse_matches_prefix_reference_on_deeper_walks(g, h1, h2):
+    """Walks of 8-9 edges reach nodes deep enough that the free-colour
+    rainbow check decides siblings and the class-mask memo answers from
+    other branches; both must leave verdict, count and counterexample
+    as the prefix reference has them."""
+    verdict = arrows(g, h1, h2)
+    cx = verdict.counterexample.colours if verdict.counterexample is not None else None
+    assert (verdict.arrows, verdict.colourings_examined, cx) == reference_arrows(g, h1, h2)
+
+
 MONOTONE_PATTERNS = [parse_graph(t) for t in ("K2", "P2", "K1,2", "P3", "M2", "K3", "K1,3", "K1,2+K1,2")]
 
 

@@ -4,11 +4,14 @@
 
 Imports ``ramsey_lab`` from DIR (default: the ``src`` next to this
 script) and prints one JSON line per fixed case: the time of one pass
-over the case, for each of R passes, their minimum, and a digest of the
-results.  The cases are
+over the case, for each of R passes, their minimum, a digest of the
+results, and the number of ``graphs._search`` calls in one more pass
+under cProfile, outside the timed ones.  The cases are
 
 - ``arrows`` for (M2, M3) and (K1,2, M3) on the four pooled G(7, 0.6)
   hosts of the benchmark's arrow_decide universe;
+- the two costliest ``arrows`` calls of that universe: (P3, M3) on the
+  pooled G(7, 0.4) host of trial 0 and (K1,2, M3) on G(6, 0.7) trial 3;
 - the K4 containment sweep at n = 200 with 12 trials;
 - the README's K3 containment sweep;
 - ``edge_orbit_plans(path(200))``, with the plan caches cleared first.
@@ -23,8 +26,10 @@ digests show that both returned the same results.
 from __future__ import annotations
 
 import argparse
+import cProfile
 import hashlib
 import json
+import pstats
 import sys
 import time
 from pathlib import Path
@@ -46,6 +51,13 @@ def cases(api, graphs):
                 out.append((v.arrows, v.colourings_examined, repr(v.counterexample)))
         return out
 
+    def costliest():
+        out = []
+        for (n, p, t), (a, b) in (((7, 0.4, 0), ("P3", "M3")), ((6, 0.7, 3), ("K1,2", "M3"))):
+            v = api.arrows(api.sample_gnp(n, p, POOL_SEED, t), api.parse_graph(a), api.parse_graph(b))
+            out.append((v.arrows, v.colourings_examined, repr(v.counterexample)))
+        return out
+
     def sweep(h, n, grid, trials, seed):
         ps = api.parse_p_grid(grid, n)
         return lambda: api.rows_to_csv(api.containment_sweep(api.parse_graph(h), n, ps, trials, seed))
@@ -58,6 +70,7 @@ def cases(api, graphs):
 
     return [
         ("arrows M2/M3, K1,2/M3 on G(7, 0.6)", arrow_calls),
+        ("arrows P3/M3 on G(7, 0.4) t0, K1,2/M3 on G(6, 0.7) t3", costliest),
         ("sweep K4 n=200 trials=12", sweep("K4", 200, "0.5*n^-2/3,1*n^-2/3,2*n^-2/3", 12, 0)),
         ("README sweep K3 n=60 trials=300", sweep("K3", 60, README_GRID, 300, 2024)),
         ("edge_orbit_plans(P200)", orbit_plans),
@@ -80,7 +93,12 @@ def main() -> None:
             result = call()
             times.append(round((time.perf_counter() - t0) * 1e3, 2))
         digest = hashlib.sha256(repr(result).encode()).hexdigest()[:16]
-        print(json.dumps({"case": name, "ms": times, "min_ms": min(times), "digest": digest}))
+        profile = cProfile.Profile()
+        profile.runcall(call)
+        stats = pstats.Stats(profile).stats
+        searches = sum(s[1] for (_, _, fn), s in stats.items() if fn == "_search")
+        row = {"case": name, "ms": times, "min_ms": min(times), "digest": digest, "search_calls": searches}
+        print(json.dumps(row))
 
 
 if __name__ == "__main__":
