@@ -37,7 +37,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache
+from functools import lru_cache
 from typing import Generator, Iterator
 
 from .errors import BudgetError, DomainError
@@ -62,7 +62,7 @@ def enumerate_colourings(g: Graph) -> Iterator[Colouring]:
         yield Colouring.from_values(g, values)
 
 
-@cache
+@lru_cache(maxsize=256)  # every key a walk of up to 21 edges asks for
 def _completions(blocks: int, remaining: int) -> int:
     """Number of restricted-growth completions from a prefix state.
 
@@ -161,28 +161,23 @@ def _restricted_growth(
     mono: dict[int, bool] = {}  # class edge set -> a copy runs through its top edge
     free: list = [None] * m  # per edge, its free-colour check: a copy's colours or False
 
-    def assign(i: int, c: int) -> None:
+    def toggle(i: int, c: int) -> None:  # edge i into, or out of, the prefix and class c
         a, b = edges[i]
-        values[i] = c
-        blocks[i + 1] = blocks[i] if c < blocks[i] else c + 1
-        prefix[a] |= 1 << b
-        prefix[b] |= 1 << a
-        nbr_colour[a][b] = nbr_colour[b][a] = c
-        if c == len(class_masks):
-            class_masks.append([0] * n)
-            class_edges.append(0)
-        class_masks[c][a] |= 1 << b
-        class_masks[c][b] |= 1 << a
-        class_edges[c] |= 1 << i
-
-    def undo(i: int) -> None:
-        a, b = edges[i]
-        c = values[i]
         prefix[a] ^= 1 << b
         prefix[b] ^= 1 << a
         class_masks[c][a] ^= 1 << b
         class_masks[c][b] ^= 1 << a
         class_edges[c] ^= 1 << i
+
+    def assign(i: int, c: int) -> None:
+        a, b = edges[i]
+        values[i] = c
+        blocks[i + 1] = blocks[i] if c < blocks[i] else c + 1
+        nbr_colour[a][b] = nbr_colour[b][a] = c
+        if c == len(class_masks):
+            class_masks.append([0] * n)
+            class_edges.append(0)
+        toggle(i, c)
 
     # a pattern given as None needs m + 1 edges, which no prefix has
     e1, plans1 = (m + 1, ()) if h1 is None else (h1.e, edge_orbit_plans(h1))
@@ -227,7 +222,7 @@ def _restricted_growth(
                 return examined
             i -= 1
             c = values[i]
-            undo(i)
+            toggle(i, c)
             if c < blocks[i]:
                 assign(i, c + 1)
                 i += 1

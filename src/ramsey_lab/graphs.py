@@ -240,6 +240,13 @@ def as_colour_fn(chi: "ColourLike") -> Callable[[int, int], int]:
     raise DomainError(f"not a colouring: {chi!r}")
 
 
+def _as_colouring(host: Graph, chi: "ColourLike") -> Colouring:
+    """``chi`` as a ``Colouring`` over the host's own edge order."""
+    if isinstance(chi, Colouring) and chi.edges == host.sorted_edges:
+        return chi
+    return Colouring.from_function(host, as_colour_fn(chi))
+
+
 # ---------------------------------------------------------------------------
 # embeddings and copy finders
 
@@ -333,12 +340,11 @@ def _search(
 
     A position with placed neighbours tries, lowest bit first, the AND of
     their images' masks less the used vertices and the bits at or below
-    its twin floor's image; one without scans ``range(lo + 1, host_n)``,
-    so a large host is never one long int.  Vertices of smaller usable
-    degree (``bit_count``) than the pattern vertex are skipped.  Swapping
-    two twins is an automorphism fixing every other vertex, so the least
-    embedding maps the earlier twin lower: no cut drops it, and the
-    unfiltered search finds it first.
+    its twin floor's image; one without scans ``range(lo + 1, host_n)``.
+    Vertices of smaller usable degree (``bit_count``) than the pattern
+    vertex are skipped.  Swapping two twins is an automorphism fixing
+    every other vertex, so the least embedding maps the earlier twin
+    lower: no cut drops it, and the unfiltered search finds it first.
     """
     vp, host_n = pattern.n, len(masks)
     order, placed_nbrs, need, floor = _plan(pattern) if plan is None else plan
@@ -376,8 +382,9 @@ def _search(
             while ws:
                 low = ws & -ws
                 ws ^= low
-                if masks[low.bit_length() - 1].bit_count() >= d:
-                    w = low.bit_length() - 1
+                x = low.bit_length() - 1
+                if masks[x].bit_count() >= d:
+                    w = x
                     break
         elif len(nbrs) == 1:
             colour = colours[mapping[nbrs[0]]]
@@ -493,8 +500,7 @@ def find_monochromatic_copy(host: Graph, chi: "ColourLike", pattern: Graph) -> E
     if pattern.e == 0:
         m = _search(pattern, host.masks)
         return Embedding(pattern, m, "monochromatic") if m is not None else None
-    if not (isinstance(chi, Colouring) and chi.edges == host.sorted_edges):
-        chi = Colouring.from_function(host, as_colour_fn(chi))
+    chi = _as_colouring(host, chi)
     for edges in chi.classes():
         if len(edges) < pattern.e:
             continue
@@ -515,8 +521,7 @@ def find_rainbow_copy(host: Graph, chi: "ColourLike", pattern: Graph) -> Embeddi
     fewer colours than the pattern has edges there is no rainbow copy by
     pigeonhole, so no search runs.
     """
-    if not (isinstance(chi, Colouring) and chi.edges == host.sorted_edges):
-        chi = Colouring.from_function(host, as_colour_fn(chi))
+    chi = _as_colouring(host, chi)
     if chi.n_colours < pattern.e:
         return None
     colours: list[dict[int, int]] = [{} for _ in range(host.n)]

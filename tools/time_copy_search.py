@@ -13,6 +13,9 @@ under cProfile, outside the timed ones.  The cases are
 - the two costliest ``arrows`` calls of that universe: (P3, M3) on the
   pooled G(7, 0.4) host of trial 0 and (K1,2, M3) on G(6, 0.7) trial 3;
 - the K4 containment sweep at n = 200 with 12 trials;
+- two sweeps on large hosts, where every mask holds 2,000 bits: K4 with
+  2 trials and C4 with 4, at n = 2000 (drawing the trials' pairs takes
+  most of their time);
 - the README's K3 containment sweep;
 - ``edge_orbit_plans(path(200))``, with the plan caches cleared first.
 
@@ -72,6 +75,8 @@ def cases(api, graphs):
         ("arrows M2/M3, K1,2/M3 on G(7, 0.6)", arrow_calls),
         ("arrows P3/M3 on G(7, 0.4) t0, K1,2/M3 on G(6, 0.7) t3", costliest),
         ("sweep K4 n=200 trials=12", sweep("K4", 200, "0.5*n^-2/3,1*n^-2/3,2*n^-2/3", 12, 0)),
+        ("sweep K4 n=2000 trials=2", sweep("K4", 2000, "0.5*n^-2/3,1*n^-2/3,2*n^-2/3", 2, 0)),
+        ("sweep C4 n=2000 trials=4", sweep("4; 0 1; 1 2; 2 3; 3 0", 2000, "0.5*n^-1,1*n^-1,2*n^-1", 4, 0)),
         ("README sweep K3 n=60 trials=300", sweep("K3", 60, README_GRID, 300, 2024)),
         ("edge_orbit_plans(P200)", orbit_plans),
     ]
