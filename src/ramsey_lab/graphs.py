@@ -12,7 +12,8 @@ and ``avoids`` checks that a colouring has neither kind of copy.  Both
 finders read a colouring as a ``Colouring`` over the host's edge order:
 the rainbow finder answers None without a search when there are fewer
 colours than pattern edges, and the monochromatic finder reads the
-colour classes; neither exit changes a verdict or the copy found.
+colour classes; one colour, or one per edge, needs no colour state
+(see the finders).  No exit changes a verdict or the copy found.
 
 All copy finders share one backtracking search, ``_search``, on an
 explicit stack, over host neighbourhoods held as int bitmasks; with
@@ -495,12 +496,17 @@ def find_monochromatic_copy(host: Graph, chi: "ColourLike", pattern: Graph) -> E
     edges is vacuously monochromatic and only needs enough host
     vertices.  Any other colouring is first made a ``Colouring`` over
     the host's own edge order, whose canonical ids ascend in first-seen
-    order, and its classes are read from that.
+    order, and its classes are read from that.  A single class holds
+    every host edge, so its masks are ``host.masks``, searched as they
+    are; with one edge per class no class holds two pattern edges.
     """
-    if pattern.e == 0:
+    if pattern.e > 0:
+        chi = _as_colouring(host, chi)
+        if chi.n_colours == host.e and pattern.e >= 2:
+            return None  # every class is a single edge
+    if pattern.e == 0 or chi.n_colours == 1:  # no colour to read, or one class of every edge
         m = _search(pattern, host.masks)
         return Embedding(pattern, m, "monochromatic") if m is not None else None
-    chi = _as_colouring(host, chi)
     for edges in chi.classes():
         if len(edges) < pattern.e:
             continue
@@ -519,14 +525,18 @@ def find_rainbow_copy(host: Graph, chi: "ColourLike", pattern: Graph) -> Embeddi
 
     The colouring is read as ``find_monochromatic_copy`` reads it.  With
     fewer colours than the pattern has edges there is no rainbow copy by
-    pigeonhole, so no search runs.
+    pigeonhole, so no search runs.  With one colour per host edge every
+    edge set is rainbow: no colour test can fail, so the plain search on
+    ``host.masks`` visits the same candidates and finds the same copy.
     """
     chi = _as_colouring(host, chi)
     if chi.n_colours < pattern.e:
         return None
-    colours: list[dict[int, int]] = [{} for _ in range(host.n)]
-    for (u, v), c in zip(chi.edges, chi.colours):
-        colours[u][v] = colours[v][u] = c
+    colours: list[dict[int, int]] | None = None
+    if chi.n_colours < host.e:  # otherwise every edge set is rainbow
+        colours = [{} for _ in range(host.n)]
+        for (u, v), c in zip(chi.edges, chi.colours):
+            colours[u][v] = colours[v][u] = c
     m = _search(pattern, host.masks, colours)
     return Embedding(pattern, m, "rainbow") if m is not None else None
 

@@ -20,10 +20,17 @@ same as without them.  A candidate carries its name, joined from the
 names of the catalogue shapes it is built from, so no candidate is
 re-coded to be named; every refutation of it is still replayed on the
 whole forest.
+
+A third cache, the level table, keeps levels' candidates by (k, copies
+cap, vertex budget), at most ``LEVEL_CACHE_SIZE`` in all, least recently
+used out first.  It holds forests built from their key alone, never a
+pattern or a verdict, so pairs that share it share no answer: each still
+replays every refutation through ``avoids`` and runs ``arrows`` itself.
 """
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import takewhile
@@ -40,6 +47,9 @@ from .graphs import Colouring, Graph, _coded_trees, avoids, tree_code
 
 DEFAULT_VERTEX_BUDGET = 12
 DEFAULT_COPIES_CAP = 3
+# candidates the level table keeps in all; budgets 6-9 at cap 3 need 280
+LEVEL_CACHE_SIZE = 512
+_level_table: OrderedDict[tuple[int, int, int], tuple[tuple[str, Graph], ...]] = OrderedDict()
 
 
 def strip_isolated(g: Graph) -> Graph:
@@ -181,7 +191,7 @@ def _cheap_refutation(f: Graph, h1: Graph, h2: Graph) -> str | None:
     return None
 
 
-def _level_candidates(k: int, copies_cap: int, vertex_budget: int) -> list[tuple[str, Graph]]:
+def _level_candidates(k: int, copies_cap: int, vertex_budget: int) -> tuple[tuple[str, Graph], ...]:
     """Forests whose largest component has exactly k vertices, each with
     its name: multisets of tree shapes on 2..k vertices with bounded
     multiplicity, ordered by total order and then canonical component
@@ -190,8 +200,13 @@ def _level_candidates(k: int, copies_cap: int, vertex_budget: int) -> list[tuple
     Shapes come from the catalogue ``_coded_trees`` with their codes, so
     each is named once here, and a forest's name, which equals
     ``describe_forest`` of it, joins its shapes' names.  A forest is one
-    ``disjoint_union`` call over its shapes, in order.
+    ``disjoint_union`` call over its shapes, in order.  The level table
+    keeps what is built, unless one level alone exceeds its bound.
     """
+    key = (k, copies_cap, vertex_budget)
+    if key in _level_table:
+        _level_table.move_to_end(key)
+        return _level_table[key]
     shapes = [
         (size, code, t, _tree_name(t, code))
         for size in range(2, k + 1)
@@ -217,10 +232,15 @@ def _level_candidates(k: int, copies_cap: int, vertex_budget: int) -> list[tuple
                 stack.append((j + 1, total + c * size, chosen + ((j, c),)))
 
     found.sort(key=lambda item: (item[0], item[1]))
-    return [
+    level = tuple(
         (_join_names([s[3] for s in picked]), picked[0][2].disjoint_union(*(s[2] for s in picked[1:])))
         for _, _, picked in found
-    ]
+    )
+    if len(level) <= LEVEL_CACHE_SIZE:
+        _level_table[key] = level
+        while sum(map(len, _level_table.values())) > LEVEL_CACHE_SIZE:
+            _level_table.popitem(last=False)
+    return level
 
 
 def check_budgets(vertex_budget: int = DEFAULT_VERTEX_BUDGET, copies_cap: int = DEFAULT_COPIES_CAP, **_) -> None:

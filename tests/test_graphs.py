@@ -563,6 +563,49 @@ def test_finder_exits_keep_verdicts_and_first_copies(case):
             assert (None if emb is None else emb.mapping) == expected, kind
 
 
+EXIT_PATTERNS = tuple(
+    map(parse_graph, ("K1,2", "K1,3", "P3", "P4", "M2", "M3", "K3", "K1,2+K2", "K1,2+K1,2"))
+)
+
+
+@st.composite
+def exit_cases(draw):
+    """A graph or a forest on at most 9 vertices, relabelled at random,
+    and a pattern from ``EXIT_PATTERNS``."""
+    n = draw(st.integers(1, 9))
+    if draw(st.booleans()):
+        edges = draw(st.sets(st.sampled_from(list(itertools.combinations(range(n), 2))))) if n > 1 else set()
+    else:
+        # each vertex after the first joins an earlier one or starts a tree
+        parents = [draw(st.integers(-1, v - 1)) for v in range(1, n)]
+        edges = {(p, v) for v, p in enumerate(parents, 1) if p >= 0}
+    label = draw(st.permutations(range(n)))
+    host = Graph.of(n, [(label[u], label[v]) for u, v in edges])
+    return host, draw(st.sampled_from(EXIT_PATTERNS))
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(exit_cases())
+@example((complete_graph(6), parse_graph("M3")))
+@example((path(8), parse_graph("K1,2+K1,2")))
+def test_one_colour_and_all_distinct_exits_find_the_first_copy(case):
+    """One colour and one colour per edge, the colourings whose finders
+    search ``host.masks`` or answer at once, given as a ``Colouring``, a
+    mapping and a function: each finder returns the copy the set-based
+    search finds class by class (``copy_finder_oracle`` runs
+    ``search_oracle``), and None exactly when no copy exists at all."""
+    host, pattern = case
+    for chi in (Colouring.constant(host), Colouring.rainbow(host)):
+        as_map = dict(zip(chi.edges, chi.colours))
+        for kind, find in (("mono", find_monochromatic_copy), ("rainbow", find_rainbow_copy)):
+            expected = copy_finder_oracle(host, chi, pattern, kind)
+            assert (expected is not None) == naive_copy(host, chi, pattern, kind)
+            for colouring in (chi, as_map, lambda u, v: as_map[(u, v)]):
+                emb = find(host, colouring, pattern)
+                assert (None if emb is None else emb.mapping) == expected, kind
+                assert emb is None or emb.kind == ("monochromatic" if kind == "mono" else "rainbow")
+
+
 def test_search_depth_does_not_grow_with_the_pattern(low_recursion_limit):
     # the recursive search took one frame per placed pattern vertex
     assert contains(path(1100), path(1100))

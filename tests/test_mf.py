@@ -1,6 +1,8 @@
+import importlib.util
 import random
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -8,12 +10,15 @@ from ramsey_lab.arrows import arrows
 from ramsey_lab.errors import DomainError
 from ramsey_lab.graphs import matching, parse_graph, path, star
 from ramsey_lab.mf import (
+    LEVEL_CACHE_SIZE,
     _level_candidates,
+    _level_table,
     construction_upper_bound,
     describe_forest,
     solve,
     strip_isolated,
 )
+from ramsey_lab.threshold import threshold
 from ramsey_lab.trees import LayeredTree
 
 from oracles import isomorphic, level_candidates_oracle
@@ -140,6 +145,7 @@ def test_level_candidates_depth_independent_of_shape_count():
     """Level 10 has 200 tree shapes on 2..10 vertices; building its
     candidates must not recurse once per shape."""
     limit = sys.getrecursionlimit()
+    _level_table.clear()  # a table hit would skip the build under test
     sys.setrecursionlimit(200)
     try:
         candidates = _level_candidates(10, 3, 10)
@@ -156,6 +162,88 @@ def test_level_candidates_match_chained_unions_and_carry_their_names(k):
     # the same forests, in the same order, with the same vertex labels
     assert [g for _, g in candidates] == level_candidates_oracle(k, 3, 10)
     assert [name for name, _ in candidates] == [describe_forest(g) for _, g in candidates]
+
+
+def _held() -> int:
+    return sum(map(len, _level_table.values()))
+
+
+def test_level_table_returns_fresh_candidates_within_its_bound():
+    """Every level with k <= vb <= 10 at caps 1-3, twice each in a shuffled
+    order: more candidates than the table keeps, so levels are evicted
+    and rebuilt, and every answer, hit or built, equals the chained
+    unions in names, edges and order."""
+    keys = [(k, cap, vb) for vb in range(2, 11) for k in range(2, vb + 1) for cap in (1, 2, 3)]
+    expected = {key: level_candidates_oracle(*key) for key in keys}
+    assert sum(map(len, expected.values())) > LEVEL_CACHE_SIZE
+    visits = keys * 2
+    random.Random(23).shuffle(visits)
+    _level_table.clear()
+    hits = 0
+    for key in visits:
+        kept = _level_table.get(key)
+        candidates = _level_candidates(*key)
+        hits += kept is not None
+        assert kept is None or candidates is kept
+        assert [g for _, g in candidates] == expected[key]
+        assert [name for name, _ in candidates] == [describe_forest(g) for g in expected[key]]
+        assert _held() <= LEVEL_CACHE_SIZE
+        assert next(reversed(_level_table)) == key  # now the most recently used
+    assert 0 < hits < len(visits)
+    # a level larger than the bound comes back whole and is not kept; the
+    # oracle recurses once per shape, and level 12 has 986 shapes
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(limit + 2000)
+    try:
+        expected = level_candidates_oracle(12, 3, 12)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert len(expected) == 551 > LEVEL_CACHE_SIZE
+    kept = dict(_level_table)
+    assert [g for _, g in _level_candidates(12, 3, 12)] == expected
+    assert _level_table == kept
+
+
+def _bench_pairs():
+    spec = importlib.util.spec_from_file_location(
+        "bench_workloads", Path(__file__).resolve().parent.parent / "bench" / "workloads.py"
+    )
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    pairs = [(a, b) for a in workloads.STARS for b in workloads.FORESTS]
+    return pairs + [(a, b) for a in workloads.CONSTELLATIONS for b in workloads.SHORT_FORESTS]
+
+
+def _certify(h1: str, h2: str, vb: int, cold: bool) -> str:
+    """``solve`` and ``threshold`` on fresh patterns, rendered in full, with
+    the level table emptied before each call when ``cold``."""
+    out = []
+    for op in ("mf", "threshold"):
+        if cold:
+            _level_table.clear()
+        g1, g2 = parse_graph(h1), parse_graph(h2)
+        try:
+            if op == "mf":
+                r = solve(g1, g2, vertex_budget=vb)
+                witness = sorted(r.upper_witness.edges) if r.upper_witness else None
+                out.append(f"{r.to_text()}\n{r.lower!r} {r.upper!r}\n{witness}")
+            else:
+                out.append(threshold(g1, g2, vertex_budget=vb).describe())
+        except DomainError as exc:
+            out.append(f"refused: {exc}")
+    return "\n".join(out)
+
+
+def test_level_table_is_invisible_in_certificates():
+    """The benchmark's star/forest and constellation/short-forest pairs at
+    budgets 6-8 certify the same text, fractions and witness edges whether
+    every call builds its levels afresh or shares a warm table."""
+    cases = [(h1, h2, vb) for h1, h2 in _bench_pairs() for vb in (6, 7, 8)]
+    cold = [_certify(*case, cold=True) for case in cases]
+    _level_table.clear()
+    for case in cases:
+        _certify(*case, cold=False)
+    assert [_certify(*case, cold=False) for case in cases] == cold
 
 
 def test_construction_bound_reads_the_tree_order_without_building_it(monkeypatch):
