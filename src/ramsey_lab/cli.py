@@ -31,13 +31,7 @@ from .densities import (
     max_2_density,
     max_density,
 )
-from .errors import (
-    BudgetError,
-    ConstructionStall,
-    DomainError,
-    GraphParseError,
-    OpenProblemError,
-)
+from .errors import DomainError, GraphParseError, RamseyLabError
 from .graphs import Colouring, Graph, parse_graph
 from .threshold import threshold
 from .tree_labels import DEFAULT_LABEL_BUDGET, descendant_colouring, min_max_path_product, rainbow_binary_host
@@ -320,7 +314,7 @@ def main(argv=None) -> int:
     except GraphParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return 2
-    except (BudgetError, DomainError, OpenProblemError, ConstructionStall) as exc:
+    except RamseyLabError as exc:
         print(f"refused: {exc}", file=sys.stderr)
         return 1
     except ValueError as exc:

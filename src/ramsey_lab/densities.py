@@ -85,10 +85,7 @@ def _max_edges_by_size(g: Graph) -> list[int]:
     n = g.n
     low = _low_block(g)
     ind, slices = _low_table(low)
-    adj = [0] * n
-    for u, v in g.edges:
-        adj[u] |= 1 << v
-        adj[v] |= 1 << u
+    adj = g.masks
     tot = sum(ind[u] & ind[v] for u, v in g.edges if v < low)
     cols = [sum(ind[v] for v in range(low) if adj[u] >> v & 1) for u in range(low, n)]
     nbytes = 1 << low

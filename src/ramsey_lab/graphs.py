@@ -105,27 +105,33 @@ class Graph:
     @cached_property
     def components(self) -> tuple[tuple[int, ...], ...]:
         """Connected components as sorted vertex tuples, ordered by minimum."""
-        seen = [False] * self.n
+        seen = 0
         comps = []
         for start in range(self.n):
-            if seen[start]:
+            if seen >> start & 1:
                 continue
             stack = [start]
-            seen[start] = True
+            seen |= 1 << start
             comp = []
             while stack:
                 v = stack.pop()
                 comp.append(v)
-                for w in self.adj[v]:
-                    if not seen[w]:
-                        seen[w] = True
-                        stack.append(w)
+                new = self.masks[v] & ~seen
+                seen |= new
+                while new:
+                    low = new & -new
+                    new ^= low
+                    stack.append(low.bit_length() - 1)
             comps.append(tuple(sorted(comp)))
         return tuple(comps)
 
     @cached_property
     def is_forest(self) -> bool:
         return self.e == self.n - len(self.components)
+
+    @property
+    def is_tree(self) -> bool:
+        return self.is_forest and len(self.components) == 1
 
     def nonisolated(self) -> tuple[int, ...]:
         return tuple(v for v in range(self.n) if self.degree(v) > 0)
@@ -761,7 +767,7 @@ def rooted_code(g: Graph, root: int) -> str:
     Children are coded before their parent by walking a breadth-first
     order backwards, so no recursion depth grows with the tree.
     """
-    if not g.is_forest or len(g.components) != 1:
+    if not g.is_tree:
         raise DomainError("rooted_code requires a single tree")
     order, parent, _ = _bfs(g, root)
     subs: dict[int, list[str]] = {v: [] for v in order}
@@ -777,7 +783,7 @@ def tree_code(g: Graph) -> str:
     so only the peripheral roots are tried: ecc(v) = max(d(v, a), d(v, b))
     for the ends a, b of a longest path (a farthest from 0, b from a).
     """
-    if not g.is_forest or len(g.components) != 1:
+    if not g.is_tree:
         raise DomainError("tree_code requires a single tree")
     d0 = _bfs(g, 0)[2]
     da = _bfs(g, d0.index(max(d0)))[2]

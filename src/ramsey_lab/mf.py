@@ -243,8 +243,8 @@ def _level_candidates(k: int, copies_cap: int, vertex_budget: int) -> tuple[tupl
     return level
 
 
-def check_budgets(vertex_budget: int = DEFAULT_VERTEX_BUDGET, copies_cap: int = DEFAULT_COPIES_CAP, **_) -> None:
-    """Refuse the budgets ``solve`` cannot honour; its other options pass."""
+def check_budgets(vertex_budget: int = DEFAULT_VERTEX_BUDGET, copies_cap: int = DEFAULT_COPIES_CAP) -> None:
+    """Refuse the budgets ``solve`` cannot honour."""
     if copies_cap < 1:
         # with no candidates every level would read as exhausted
         raise DomainError("copies cap must be >= 1")

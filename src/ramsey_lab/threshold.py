@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import mf
+from .arrows import DEFAULT_EDGE_BUDGET
 from .densities import DEFAULT_DENSITY_VERTEX_BUDGET, classify, max_2_density, max_density
 from .errors import DomainError, OpenProblemError
 from .graphs import Graph
@@ -94,17 +95,19 @@ def threshold(
     h2: Graph,
     resolve_bounds: bool = True,
     density_budget: int | None = DEFAULT_DENSITY_VERTEX_BUDGET,
-    **mf_options,
+    vertex_budget: int = mf.DEFAULT_VERTEX_BUDGET,
+    copies_cap: int = mf.DEFAULT_COPIES_CAP,
+    edge_budget: int | None = DEFAULT_EDGE_BUDGET,
 ) -> ThresholdExponent:
     """Dispatch the pair to its threshold clause and evaluate it.
 
     With ``resolve_bounds`` false, the arrowing-forest case returns the
     symbolic answer without running the forest search (useful when only
     the dispatch itself is of interest).  ``density_budget`` is the
-    vertex budget of the m and m2 walks; ``mf_options`` are forwarded
-    to the forest search, and checked before any case is dispatched.
+    vertex budget of the m and m2 walks; the last three budgets are the
+    forest search's, and checked before any case is dispatched.
     """
-    mf.check_budgets(**mf_options)
+    mf.check_budgets(vertex_budget, copies_cap)
     fired = fired_clauses(h1, h2)
     if len(fired) != 1:
         raise AssertionError(f"expected exactly one clause, got {fired}")
@@ -134,7 +137,7 @@ def threshold(
         return ThresholdExponent(
             case, None, (Fraction(-2), Fraction(-1)), "-1/m_F", {"m_F": "unresolved"}
         )
-    report = mf.solve(h1, h2, **mf_options)
+    report = mf.solve(h1, h2, vertex_budget, copies_cap, edge_budget)
     if report.upper >= 1:
         raise AssertionError("arrowing-forest density must stay below 1")
     if report.exact:

@@ -111,7 +111,7 @@ def _best_labelling(h: Graph, incumbent: int | None, edge_budget: int) -> Optima
     the path on to v's deepest leaf takes ``below[v]`` more unused
     labels, at least the ``below[v]`` least of them.
     """
-    if h.n == 0 or not h.is_forest or len(h.components) != 1:
+    if not h.is_tree:
         raise DomainError("path-product labelling is defined on trees")
     m = h.e
     if m == 0:

@@ -35,7 +35,7 @@ class RootedTree:
 
     @classmethod
     def from_graph(cls, g: Graph, root: int) -> "RootedTree":
-        if not g.is_forest or len(g.components) != 1 or g.n == 0:
+        if not g.is_tree:
             raise DomainError("rooted tree requires a connected acyclic graph")
         if not 0 <= root < g.n:
             raise DomainError(f"root {root} not a vertex")

@@ -491,27 +491,27 @@ def level_candidates_oracle(k: int, copies_cap: int, vertex_budget: int) -> list
     in (order, code) order, every multiset with at most ``copies_cap``
     copies of each shape and at most ``vertex_budget`` vertices whose
     largest shape has k vertices, sorted by order and then by the shapes'
-    codes."""
+    codes.  The multisets are walked with an explicit stack, so no
+    recursion depth grows with the number of shapes."""
     shapes = sorted(
         ((size, c, t) for size in range(2, k + 1) for c, t in coded_trees_oracle(size)),
         key=lambda s: (s[0], s[1]),
     )
     out = []
-
-    def walk(i: int, total: int, picked: list) -> None:
+    stack = [(0, 0, [])]
+    while stack:
+        i, total, picked = stack.pop()
         if i == len(shapes) or total + shapes[i][0] > vertex_budget:
             if picked and picked[-1][0] == k:
                 forest = Graph.of(0)
                 for _, _, t in picked:
                     forest = forest.disjoint_union(t)
                 out.append((total, tuple(c for _, c, _ in picked), forest))
-            return
+            continue
         for copies in range(copies_cap + 1):
             if total + copies * shapes[i][0] > vertex_budget:
                 break
-            walk(i + 1, total + copies * shapes[i][0], picked + [shapes[i]] * copies)
-
-    walk(0, 0, [])
+            stack.append((i + 1, total + copies * shapes[i][0], picked + [shapes[i]] * copies))
     out.sort(key=lambda item: (item[0], item[1]))
     return [forest for _, _, forest in out]
 

@@ -190,14 +190,8 @@ def test_level_table_returns_fresh_candidates_within_its_bound():
         assert _held() <= LEVEL_CACHE_SIZE
         assert next(reversed(_level_table)) == key  # now the most recently used
     assert 0 < hits < len(visits)
-    # a level larger than the bound comes back whole and is not kept; the
-    # oracle recurses once per shape, and level 12 has 986 shapes
-    limit = sys.getrecursionlimit()
-    sys.setrecursionlimit(limit + 2000)
-    try:
-        expected = level_candidates_oracle(12, 3, 12)
-    finally:
-        sys.setrecursionlimit(limit)
+    # a level larger than the bound comes back whole and is not kept
+    expected = level_candidates_oracle(12, 3, 12)
     assert len(expected) == 551 > LEVEL_CACHE_SIZE
     kept = dict(_level_table)
     assert [g for _, g in _level_candidates(12, 3, 12)] == expected

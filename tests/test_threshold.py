@@ -47,12 +47,15 @@ def test_mf_based_dispatch_example():
 
 @pytest.mark.parametrize("h1,h2,_q,_label", DISPATCH_TABLE)
 def test_forest_search_budgets_checked_in_every_case(h1, h2, _q, _label):
-    """The budgets are refused before dispatch, also where no forest search runs."""
+    """The budgets are refused before dispatch, also where no forest search
+    runs, and a misspelled one is an error, not a silent default."""
     h1, h2 = parse_graph(h1), parse_graph(h2)
     with pytest.raises(DomainError, match=r"^vertex budget must be >= 1$"):
         threshold(h1, h2, vertex_budget=0)
     with pytest.raises(DomainError, match=r"^copies cap must be >= 1$"):
         threshold(h1, h2, copies_cap=0)
+    with pytest.raises(TypeError, match="vertx_budget"):
+        threshold(h1, h2, vertx_budget=5)
 
 
 def test_non_forest_rainbow_pattern_refused():
