@@ -104,26 +104,26 @@ class Graph:
 
     @cached_property
     def components(self) -> tuple[tuple[int, ...], ...]:
-        """Connected components as sorted vertex tuples, ordered by minimum."""
-        seen = 0
-        comps = []
-        for start in range(self.n):
-            if seen >> start & 1:
-                continue
-            stack = [start]
-            seen |= 1 << start
-            comp = []
-            while stack:
-                v = stack.pop()
-                comp.append(v)
-                new = self.masks[v] & ~seen
-                seen |= new
-                while new:
-                    low = new & -new
-                    new ^= low
-                    stack.append(low.bit_length() - 1)
-            comps.append(tuple(sorted(comp)))
-        return tuple(comps)
+        """Connected components as sorted vertex tuples, ordered by minimum.
+
+        Union-find over the edges, with path halving: it builds neither
+        ``adj`` nor ``masks`` (whose ints grow with the vertex numbering),
+        so a forest that no caller asks for degrees keeps neither, and a
+        large sparse graph costs time and memory near-linear in its size.
+        """
+        root = list(range(self.n))
+
+        def find(v: int) -> int:
+            while root[v] != v:
+                root[v] = v = root[root[v]]
+            return v
+
+        for u, v in self.edges:
+            root[find(u)] = find(v)
+        comps: dict[int, list[int]] = {}  # first seen at its least vertex
+        for v in range(self.n):
+            comps.setdefault(find(v), []).append(v)
+        return tuple(map(tuple, comps.values()))
 
     @cached_property
     def is_forest(self) -> bool:

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from ramsey_lab.densities import classify
 from ramsey_lab.errors import BudgetError, DomainError, GraphParseError
 from ramsey_lab.graphs import (
     Colouring,
@@ -204,6 +205,25 @@ def test_tree_code_on_long_path_has_no_recursion_limit():
     # path exceeded the default limit of 1000; the least code roots the
     # path at an end
     assert tree_code(path(1500)) == "(" * 1501 + ")" * 1501
+
+
+def test_components_of_a_long_path_take_linear_memory():
+    # per-vertex int bitmasks grow with the vertex numbering, about n^2/2
+    # bits on a path: a components walk over them peaked at 190 MB on this
+    # path, against about 23 MB for a walk over the edges
+    g = path(50_000)
+    tracemalloc.start()
+    try:
+        cls = classify(g)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert cls.is_forest and cls.k_nonisolated == g.n
+    assert peak < 1000 * g.n
+    # components build no adjacency, so a forest asked only whether it is
+    # one keeps none
+    h = path(9)
+    assert h.is_tree and "adj" not in vars(h) and "masks" not in vars(h)
 
 
 def test_tree_enumeration_deterministic():

@@ -3,10 +3,12 @@
     python3 tools/time_layers.py [--src DIR] [--repeat R] [LAYER ...]
 
 Imports ``ramsey_lab`` from DIR (default: the ``src`` next to this
-script) and, for each LAYER (default: all, in this order), prints one
-JSON line per case: its layer and name, the time in ms of each of R
-timed passes and their minimum, a digest of what the last pass
-returned, and the case's own fields.  The layers and their cases are
+script) and, for each LAYER (default: all, in this order, each in a
+fresh interpreter so that no layer runs on the caches and heap another
+one left), prints one JSON line per case: its layer and name, the time
+in ms of each of R timed passes and their minimum, a digest of what the
+last pass returned, and the case's own fields.  The layers and their
+cases are
 
 - ``draw``: ``gnp._process(n, seed, trial, top)`` over a fixed set of
   trials per (n, top), timed per trial, with the pairs ``kept`` over
@@ -21,8 +23,10 @@ returned, and the case's own fields.  The layers and their cases are
   rendered as the benchmark renders them, after one untimed pass warms
   the process's caches; and two cold single ``mf`` runs, each pass a
   fresh interpreter that imports the package and runs the command,
-  with each pass's ``peak_rss_mb`` (the child's own ``VmHWM``, or
-  ``ru_maxrss`` where there is no ``/proc``).  The benchmark pools one
+  with each pass's ``s``, the child's own time for import plus run
+  (the row's ``ms`` also holds interpreter start-up), and its
+  ``peak_rss_mb``, the child's own ``VmHWM`` from ``/proc`` (so these
+  two cases run on Linux only).  The benchmark pools one
   long-lived process per worker, so only these cases show what a
   single run pays for the per-process caches.
 
@@ -50,20 +54,19 @@ from typing import Callable, NamedTuple
 ROOT = Path(__file__).resolve().parent.parent
 POOL_SEED = 20221  # the benchmark's host stream
 README_GRID = "0.25*n^-1,0.5*n^-1,1*n^-1,2*n^-1,4*n^-1"
-# the child runs one CLI command and prints its peak memory and output
+# the child runs one CLI command and prints its time, peak memory and output
 CHILD = """
-import contextlib, io, json, resource, sys
+import contextlib, io, json, sys, time
+t0 = time.perf_counter()
 sys.path.insert(0, sys.argv[1])
 from ramsey_lab.cli import main
 out = io.StringIO()
 with contextlib.redirect_stdout(out):
     code = main(sys.argv[2:])
-try:  # ru_maxrss would also hold the spawning process's peak, if larger
-    with open("/proc/self/status") as status:
-        peak_kb = next(int(line.split()[1]) for line in status if line.startswith("VmHWM:"))
-except OSError:
-    peak_kb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
-print(json.dumps({"peak_kb": peak_kb, "code": code, "stdout": out.getvalue()}))
+seconds = time.perf_counter() - t0
+with open("/proc/self/status") as status:  # ru_maxrss would also hold the spawning process's peak
+    peak_kb = next(int(line.split()[1]) for line in status if line.startswith("VmHWM:"))
+print(json.dumps({"s": seconds, "peak_kb": peak_kb, "code": code, "stdout": out.getvalue()}))
 """
 
 
@@ -155,16 +158,20 @@ def forest_levels(api, src):
         return [workloads.render(api, s, workloads.build(api, s)()) for s in specs]
 
     def cold(command):
-        peaks = []
+        runs = []
 
         def run():
             proc = subprocess.run([sys.executable, "-c", CHILD, src, *command.split()],
                                   capture_output=True, text=True, check=True)
-            child = json.loads(proc.stdout)
-            peaks.append(round(child["peak_kb"] / 1024, 1))
-            return [(child["code"], child["stdout"])]
+            runs.append(json.loads(proc.stdout))
+            return [(runs[-1]["code"], runs[-1]["stdout"])]
 
-        return Case(f"cold {command}", run, lambda _: {"peak_rss_mb": peaks, "min_peak_rss_mb": min(peaks)})
+        def fields(_):
+            times = [round(r["s"], 3) for r in runs]
+            peaks = [round(r["peak_kb"] / 1024, 1) for r in runs]
+            return {"s": times, "min_s": min(times), "peak_rss_mb": peaks, "min_peak_rss_mb": min(peaks)}
+
+        return Case(f"cold {command}", run, fields)
 
     certify()  # warms the process's caches
     return [
@@ -185,6 +192,11 @@ def main() -> None:
     args = ap.parse_args()
     if set(args.layers) - set(LAYERS):
         ap.error(f"layers are {', '.join(LAYERS)}")
+    if len(args.layers) > 1:  # each layer in a fresh interpreter, as if run alone
+        for layer in args.layers:
+            subprocess.run([sys.executable, __file__, "--src", args.src, "--repeat", str(args.repeat), layer],
+                           check=True)
+        return
     sys.path.insert(0, args.src)
     api = importlib.import_module("ramsey_lab")  # also binds its submodules
 
