@@ -86,28 +86,33 @@ def test_criterion_1_density_oracle_equivalence():
     assert checked == 1252
 
 
-# exact 2-density of a bitmask-encoded graph, vectorised for 12-vertex joins
+# exact 2-densities of bitmask-encoded graphs, vectorised for 12-vertex joins
 @functools.lru_cache(maxsize=None)
-def _subset_tables(n):
-    subs = np.arange(1 << n, dtype=np.uint32)
-    pop = np.zeros(1 << n, dtype=np.uint8)
-    for v in range(n):
-        pop += ((subs >> v) & 1).astype(np.uint8)
-    return subs, {v: pop == v for v in range(3, n + 1)}
+def _subset_table(n):
+    """Each vertex's membership in every subset of range(n), one row per
+    vertex, subsets sorted by size, and where the sizes 3..n start."""
+    subs = np.arange(1 << n)
+    bits = ((subs >> np.arange(n)[:, None]) & 1).astype(np.int16)
+    sizes = bits.sum(axis=0)
+    order = np.argsort(sizes, kind="stable")
+    return bits[:, order], np.searchsorted(sizes[order], np.arange(3, n + 1))
 
 
-def _m2_vectorised(n, edges):
-    subs, masks = _subset_tables(n)
-    ecount = np.zeros(len(subs), dtype=np.int16)
-    for a, b in edges:
-        ecount += ((subs >> a) & (subs >> b) & np.uint32(1)).astype(np.int16)
-    best = None
-    for v, mask in masks.items():
-        e = int(ecount[mask].max())
-        val = Fraction(e - 1, v - 2)
-        if best is None or val > best:
-            best = val
-    return best
+def _inside(n, edges):
+    """One row per edge: 1 for each subset holding both its ends."""
+    bits, _ = _subset_table(n)
+    a, b = np.array(edges).T
+    return bits[a] & bits[b]
+
+
+def _max_2_densities(n, counts):
+    """m2 of each row of per-subset edge counts: the max over sizes v >= 3
+    of (e_v - 1) / (v - 2), with e_v the most edges that v vertices span."""
+    _, starts = _subset_table(n)
+    most = np.maximum.reduceat(counts, starts, axis=1).astype(np.int64)
+    scale = math.lcm(*range(1, n - 1))
+    scaled = ((most - 1) * (scale // np.arange(1, n - 1))).max(axis=1)
+    return [Fraction(int(x), scale) for x in scaled]
 
 
 @criterion(2, "bridging any two connected graphs up to 6 vertices keeps m2 = max(m2, 1)")
@@ -121,26 +126,28 @@ def test_criterion_2_bridge_join_law():
     for g1 in connected:
         if g1.e < 1:
             continue
-        base = [(u, v) for u, v in g1.edges]
         for g2 in connected:
             if m2s[g1] < m2s[g2]:
                 continue
             expected = max(m2s[g1], Fraction(1))
-            shifted = [(u + g1.n, v + g1.n) for u, v in g2.edges]
             n = g1.n + g2.n
-            for u in range(g1.n):
-                for v in range(g2.n):
-                    got = _m2_vectorised(n, base + shifted + [(u, g1.n + v)])
-                    assert got == expected, (g1, g2, u, v)
-                    joins += 1
-    assert joins > 100_000
+            # the two parts' edges are counted once per pair, and each join
+            # adds its bridge edge's indicator
+            parts = list(g1.edges) + [(u + g1.n, v + g1.n) for u, v in g2.edges]
+            bridges = [(u, g1.n + v) for u in range(g1.n) for v in range(g2.n)]
+            counts = _inside(n, parts).sum(axis=0) + _inside(n, bridges)
+            for (u, v), got in zip(bridges, _max_2_densities(n, counts)):
+                assert got == expected, (g1, g2, u, v - g1.n)
+            joins += len(bridges)
+    assert joins == 410_545
     # spot-check the vectorised oracle against the module on a few joins
     rng = random.Random(1)
     for _ in range(20):
         g1, g2 = rng.choice(connected), rng.choice(connected)
         u, v = rng.randrange(g1.n), rng.randrange(g2.n)
         j = bridge_join(g1, g2, u, v)
-        assert max_2_density(j) == _m2_vectorised(j.n, list(j.edges))
+        counts = _inside(j.n, list(j.edges)).sum(axis=0)
+        assert _max_2_densities(j.n, counts[None]) == [max_2_density(j)]
 
 
 @criterion(3, "arrowing ground truths and the first constrained Ramsey number")

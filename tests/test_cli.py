@@ -313,6 +313,11 @@ def test_refusal_lines(capsys):
         # a pair outside the forest search has its budgets checked all the same
         ("threshold", "--h1", "K3", "--h2", "P3", "--vertex-budget", "0"): "refused: vertex budget must be >= 1\n",
         ("threshold", "--h1", "K3", "--h2", "P3", "--copies-cap", "0"): "refused: copies cap must be >= 1\n",
+        ("sweep", "--mode", "containment", "--h", "K3", "--n", "10", "--p-grid", ",", "--trials", "1"):
+            "refused: empty probability grid\n",
+        ("sweep", "--mode", "containment", "--h", "K3", "--n", "-1", "--p-grid", "1*n^-1", "--trials", "1"):
+            "refused: grid term '1*n^-1' needs n >= 0\n",
+        ("mf", "--h1", "K1,2", "--h2", "K2"): "refused: patterns need at least two edges each\n",
     }
     for argv, line in refusals.items():
         assert run(capsys, *argv) == (1, "", line)
@@ -343,3 +348,31 @@ def test_closed_pipe_exits_cleanly():
     err = proc.stderr.read().decode()
     assert proc.wait(timeout=60) == 0
     assert "Traceback" not in err and "Exception ignored" not in err
+
+
+STDLIB_ONLY = """
+import sys
+sys.path.insert(0, sys.argv[1])
+import ramsey_lab, ramsey_lab.cli
+for argv in (
+    ["mf", "--h1", "K1,2", "--h2", "P3"],
+    ["sweep", "--mode", "arrow", "--h1", "K1,2", "--h2", "P3", "--n", "7",
+     "--p-grid", "0.3,0.5,0.7", "--trials", "20", "--seed", "1", "--jobs", "1"],
+    ["density", "K4"],
+):
+    assert ramsey_lab.cli.main(argv) == 0, argv
+top = {name.partition(".")[0] for name in sys.modules}
+print(sorted(top - set(sys.stdlib_module_names) - {"ramsey_lab", "__main__"}))
+"""
+
+
+def test_package_runs_on_the_standard_library_alone():
+    """Without site-packages (``-S``) and with no ``PYTHON*`` variables
+    (``-E``), the package imports, answers three commands, and loads no
+    module from outside the standard library."""
+    proc = subprocess.run(
+        [sys.executable, "-S", "-E", "-c", STDLIB_ONLY, str(SRC)],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[]"

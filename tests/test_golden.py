@@ -100,6 +100,11 @@ CASES = {
     ],
     # a star construction tree far above the vertex budget, read lazily
     "mf_star4_P6_fallback": ["mf", "--h1", "K1,4", "--h2", "P6", "--vertex-budget", "3"],
+    # an edge budget below some candidates' edge counts: the level's
+    # record names the refused candidates
+    "mf_cherry_P4_refused": [
+        "mf", "--h1", "K1,2", "--h2", "P4", "--edge-budget", "4", "--vertex-budget", "6",
+    ],
     "ramsey_number_cherry_P3_budget": [
         "ramsey-number", "--h1", "K1,2", "--h2", "P3", "--n-max", "6", "--edge-budget", "10",
     ],
