@@ -3,8 +3,8 @@
 Everything here favours obviousness over speed: copies are found by
 trying every injective vertex map, densities by walking every
 (vertex subset, edge count) pair, per-size edge maxima one subset at a
-time, tree isomorphism classes by generating every labelled tree and
-deduplicating with a backtracking isomorphism test, arrowing by
+time, tree isomorphism classes by decoding every Prüfer sequence and
+deduplicating by an AHU code at the tree's centre, arrowing by
 testing every prefix of a colouring search with ``naive_copy``,
 containment and arrow sweeps by a fresh sample and a full search per
 grid point, the embedding search by the recursion it had before its
@@ -192,51 +192,67 @@ def isomorphic(a: Graph, b: Graph) -> bool:
     return place(0)
 
 
-def _spans_tree(k: int, chosen) -> bool:
-    parent = list(range(k))
+def _prufer_edges(k: int, seq) -> list[tuple[int, int]]:
+    """The labelled tree on 0..k-1 with Prüfer sequence ``seq``: each
+    entry in turn is joined to the least leaf left, and the last two
+    vertices to each other."""
+    degree = [1] * k
+    for x in seq:
+        degree[x] += 1
+    edges = []
+    for x in seq:
+        leaf = degree.index(1)
+        edges.append((leaf, x))
+        degree[leaf] = 0
+        degree[x] -= 1
+    edges.append(tuple(v for v in range(k) if degree[v] == 1))
+    return edges
 
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
 
-    merged = 0
-    for u, v in chosen:
-        ru, rv = find(u), find(v)
-        if ru == rv:
-            return False
-        parent[ru] = rv
-        merged += 1
-    return merged == k - 1
+def _centre_code(k: int, edges) -> str:
+    """A canonical form of a tree: the AHU code rooted at its centre, or
+    the sorted codes of the two halves at a central edge.  Leaves are
+    peeled layer by layer, and each peeled vertex hands its code, the
+    sorted codes of the vertices peeled below it in brackets, to the one
+    neighbour still left."""
+    adj = [[] for _ in range(k)]
+    for u, v in edges:
+        adj[u].append(v)
+        adj[v].append(u)
+    degree = [len(a) for a in adj]
+    below = [[] for _ in range(k)]
+    peeled = [False] * k
+    layer = [v for v in range(k) if degree[v] <= 1]
+    left = k
+    while left > 2:
+        nxt = []
+        for v in layer:
+            peeled[v] = True
+            code = "(" + "".join(sorted(below[v])) + ")"
+            for w in adj[v]:
+                if not peeled[w]:
+                    below[w].append(code)
+                    degree[w] -= 1
+                    if degree[w] == 1:
+                        nxt.append(w)
+        left -= len(layer)
+        layer = nxt
+    return "".join(sorted("(" + "".join(sorted(below[v])) + ")" for v in layer))
 
 
 def brute_force_trees(k: int) -> list[Graph]:
-    """Every isomorphism class of trees on k vertices, by generating all
-    labelled trees from edge subsets and deduplicating pairwise."""
+    """Every isomorphism class of trees on k vertices: each of the k^(k-2)
+    labelled trees from its Prüfer sequence, the first of each centre
+    code kept."""
     if k == 1:
         return [Graph.of(1)]
-    all_pairs = list(itertools.combinations(range(k), 2))
-    reps: list[Graph] = []
-    buckets: dict[tuple, list[int]] = {}
-    for chosen in itertools.combinations(all_pairs, k - 1):
-        if not _spans_tree(k, chosen):
-            continue
-        g = Graph.of(k, chosen)
-        degs = tuple(sorted(g.degree(v) for v in range(k)))
-        nbr_profile = tuple(
-            sorted(tuple(sorted(g.degree(w) for w in g.adj[v])) for v in range(k))
-        )
-        key = (degs, nbr_profile)
-        hit = False
-        for idx in buckets.get(key, ()):
-            if isomorphic(g, reps[idx]):
-                hit = True
-                break
-        if not hit:
-            buckets.setdefault(key, []).append(len(reps))
-            reps.append(g)
-    return reps
+    reps: dict[str, Graph] = {}
+    for seq in itertools.product(range(k), repeat=k - 2):
+        edges = _prufer_edges(k, seq)
+        code = _centre_code(k, edges)
+        if code not in reps:
+            reps[code] = Graph.of(k, edges)
+    return list(reps.values())
 
 
 def random_tree(rng: random.Random, n: int) -> Graph:

@@ -1,9 +1,13 @@
+import contextlib
+import io
 import os
 import subprocess
 import sys
 from pathlib import Path
 
-from ramsey_lab.cli import main
+import pytest
+
+from ramsey_lab.cli import build_parser, main
 
 SRC = Path(__file__).parent.parent / "src"
 
@@ -376,3 +380,35 @@ def test_package_runs_on_the_standard_library_alone():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == "[]"
+
+
+COMMANDS = ("density", "classify", "arrow", "ramsey-number", "threshold", "mf", "f-of-h", "colour", "construct", "sweep")
+PARSE_ONLY = [["-h"], [], ["bogus"], ["--bogus"]]
+PARSE_ONLY += [argv for c in COMMANDS for argv in ([c, "-h"], [c], [c, "--bogus"], [c, "--h1"])]
+
+
+def exits(call, argv):
+    """Exit code, stdout and stderr of ``call(argv)``, which argparse ends
+    with SystemExit on help and on a parse error."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = call(argv)
+        except SystemExit as stop:
+            code = stop.code
+    return code, out.getvalue(), err.getvalue()
+
+
+def test_every_subcommand_is_listed():
+    code, out, _ = exits(main, ["-h"])
+    assert code == 0 and "{" + ",".join(COMMANDS) + "}" in out
+
+
+@pytest.mark.parametrize("argv", PARSE_ONLY, ids=lambda argv: " ".join(argv) or "(none)")
+def test_main_parses_as_the_full_parser(monkeypatch, argv):
+    """Help, usage and parse errors from ``main`` are those of the parser
+    with every subcommand's arguments, whatever ``main`` leaves out."""
+    monkeypatch.setenv("COLUMNS", "100")
+    full = exits(lambda a: build_parser().parse_args(a) and 0, argv)
+    assert full[0] in (0, 2)
+    assert exits(main, argv) == full

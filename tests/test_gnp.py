@@ -230,6 +230,43 @@ def test_containment_column_property(n, spec, grid, seed, trial):
             assert not (p <= q and here and not there)
 
 
+
+# a top on a step of the draw's gates, k/256 for its high byte and k/65536
+# for its second byte, or just either side of one; or a top of at least 1,
+# 0 or NaN, where no gate is needed or nothing lies below
+bucket_tops = st.one_of(
+    st.tuples(st.sampled_from([256, 65536]), st.integers(0, 256)).flatmap(
+        lambda step: st.sampled_from(
+            [step[1] / step[0], math.nextafter(step[1] / step[0], 0), math.nextafter(step[1] / step[0], 1)]
+        )
+    ),
+    st.sampled_from([1.0, math.nextafter(1.0, 2), 1.5, 0.0, math.nan]),
+)
+
+
+@settings(max_examples=250, deadline=None, derandomize=True, database=None)
+@given(
+    st.sampled_from(list(range(13)) + [91, 92, 130]),
+    st.sampled_from(["K3", "K4", "K1,2", "P3", "M2", "K1,2+K1,2", "4; 0 1; 1 2; 2 3; 3 0", "K1+K1"]),
+    bucket_tops,
+    st.lists(st.one_of(st.floats(0.0, 1.0), st.integers(0, 10**4)), max_size=4),
+    st.integers(0, 2**16),
+    st.integers(0, 50),
+)
+@example(130, "K3", 4 / 256, [], 2024, 0)
+@example(92, "M2", 3 / 65536, [0.5], 1, 1)
+@example(91, "K4", math.nan, [], 0, 0)
+def test_containment_column_at_the_gate_steps(n, spec, top, below, seed, trial):
+    """The hitting-time column equals the per-p search when the largest
+    grid point lies on a step of the draw's gates, and the other points
+    lie below it: scaled, or at the trial's own uniforms."""
+    pattern = parse_graph(spec)
+    us = [u for u in pair_uniforms(n, seed, trial) if u < top] if top > 0 else []
+    # below a NaN top only NaN keeps NaN the largest point
+    grid = [top] + [top if math.isnan(top) else top * p if isinstance(p, float) else _cut_off(p, us) for p in below]
+    column = containment_column(n, pattern, edge_orbit_plans(pattern), grid, seed, trial)
+    assert column == containment_column_oracle(n, pattern, grid, seed, trial)
+
 def test_arrow_sweep_opens_one_pool(monkeypatch, capsys):
     """An arrow sweep runs every trial's whole column in one pool, not one
     pool per grid point, and prints the recorded rows."""
@@ -341,6 +378,18 @@ def test_blocked_draw_is_the_stream_at_every_gate_step(n, seed, trial, top):
     expect = Graph.of(n, [e for e, u in zip(pair_order(n), us) if u < top])
     assert sample_gnp(n, top, seed, trial) == expect
 
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(st.integers(0, 140), st.integers(0, 2**32), st.integers(0, 50), bucket_tops)
+@example(140, 0, 0, 1 / 65536)
+@example(92, 3, 1, math.nextafter(2 / 65536, 1))
+def test_draw_is_the_stream_at_every_second_byte_step(n, seed, trial, top):
+    us = pair_uniforms(n, seed, trial)
+    assert _process(n, seed, trial, top) == sorted((u, i) for i, u in enumerate(us) if u < top)
+    if not math.isnan(top) and top <= 1:
+        expect = Graph.of(n, [e for e, u in zip(pair_order(n), us) if u < top])
+        assert sample_gnp(n, top, seed, trial) == expect
 
 ARROW_PAIRS = [("K1,2", "K1,2"), ("K1,2", "P3"), ("K3", "P3"), ("M2", "K1,2"), ("K2", "K2")]
 

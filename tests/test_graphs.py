@@ -25,6 +25,7 @@ from ramsey_lab.graphs import (
     find_embedding,
     find_monochromatic_copy,
     find_rainbow_copy,
+    has_copy_through,
     matching,
     parse_graph,
     path,
@@ -759,3 +760,37 @@ def test_orbit_plans_of_a_long_path_pair_each_edge_with_its_mirror():
     plans = edge_orbit_plans.__wrapped__(path(200))
     assert [p[0][:2] for p in plans] == [xy for i in range(100) for xy in ((i, i + 1), (i + 1, i))]
     assert plans == tuple(_plan.__wrapped__(path(200), p[0][:2]) for p in plans)
+
+
+# the patterns the sweeps and the arrowing prune check run through has_copy_through
+THROUGH_PATTERNS = ("K3", "K4", "4; 0 1; 1 2; 2 3; 3 0", "K1,3", "P3", "M2", "M3", "K1,2+K1,2")
+
+
+@st.composite
+def through_cases(draw):
+    """A host on 2-11 vertices, one of its edges in either orientation, a
+    colouring of its edges in 1-6 colours, and a pattern."""
+    n = draw(st.integers(2, 11))
+    pairs = list(itertools.combinations(range(n), 2))
+    edges = draw(st.sets(st.sampled_from(pairs), min_size=1, max_size=min(len(pairs), 24)))
+    a, b = draw(st.sampled_from(sorted(edges)))
+    colours = draw(st.lists(st.integers(0, 5), min_size=len(edges), max_size=len(edges)))
+    pattern = parse_graph(draw(st.sampled_from(THROUGH_PATTERNS)))
+    return Graph.of(n, edges), dict(zip(sorted(edges), colours)), draw(st.sampled_from([(a, b), (b, a)])), pattern
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(through_cases())
+def test_copy_through_an_edge_is_the_first_plan_search_that_finds_one(case):
+    """has_copy_through returns what trying each orbit plan's search in
+    order returns, plain and rainbow, whatever it skips before searching."""
+    host, colour, edge, pattern = case
+    plans = edge_orbit_plans(pattern)
+    masks = list(host.masks)
+    nbr_colour = [{} for _ in range(host.n)]
+    for (u, v), c in colour.items():
+        nbr_colour[u][v] = nbr_colour[v][u] = c
+    for colours in (None, nbr_colour):
+        searched = (_search(pattern, masks, colours, p, edge) for p in plans)
+        expect = next((m for m in searched if m is not None), None)
+        assert has_copy_through(pattern, plans, masks, edge, colours) == expect
