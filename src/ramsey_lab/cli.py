@@ -5,6 +5,11 @@ Graphs are given as DSL terms (``K3``, ``K1,2+K2``, ``T(3,2)``) or as
 text, or CSV for sweeps; re-running a printed command reproduces the
 output byte for byte (sweeps are seeded).  Exit codes: 0 success, 1
 domain refusal (budget, open problem), 2 parse error.
+
+The ten subcommands are declared in one table (``_commands``).  A run
+registers each one by name and help line but adds arguments only to the
+subcommand its argv names, since building argparse parsers for all ten
+took about half of a small sweep's run.
 """
 
 from __future__ import annotations
@@ -201,106 +206,103 @@ def _sweep(args) -> None:
     sys.stdout.write(gnp.rows_to_csv(rows))
 
 
-# options several subcommands share, declared once: flag -> add_argument keywords
-SHARED_OPTIONS = {
-    "--h1": {"required": True},
-    "--h2": {"required": True},
-    "--vertex-budget": {"type": int, "default": mf.DEFAULT_VERTEX_BUDGET},
-    "--copies-cap": {"type": int, "default": mf.DEFAULT_COPIES_CAP},
-    "--edge-budget": {"type": int, "default": DEFAULT_EDGE_BUDGET},
-    "--density-budget": {
-        "type": int,
-        "default": DEFAULT_DENSITY_VERTEX_BUDGET,
-        "help": "most vertices for the 2^n subset walk behind m and m2",
-    },
-}
+def _commands() -> dict:
+    """subcommand -> (help line, runner, its arguments in order): each
+    argument is (flags, add_argument keywords), or the flag of an option
+    several subcommands share, declared once in ``shared``.  Built per
+    parse, never at import, so the ``--jobs`` default reads the
+    environment of the run."""
+    shared = {
+        "--h1": {"required": True},
+        "--h2": {"required": True},
+        "--vertex-budget": {"type": int, "default": mf.DEFAULT_VERTEX_BUDGET},
+        "--copies-cap": {"type": int, "default": mf.DEFAULT_COPIES_CAP},
+        "--edge-budget": {"type": int, "default": DEFAULT_EDGE_BUDGET},
+        "--density-budget": {
+            "type": int,
+            "default": DEFAULT_DENSITY_VERTEX_BUDGET,
+            "help": "most vertices for the 2^n subset walk behind m and m2",
+        },
+    }
+    commands = {
+        "density": ("maximum density and maximum 2-density", _density, [
+            ("graph", {}),
+            ("--m", {"action": "store_true", "help": "print only m"}),
+            ("--m2", {"action": "store_true", "help": "print only m2"}),
+            "--density-budget",
+        ]),
+        "classify": ("pattern family flags", _classify, [("graph", {})]),
+        "arrow": ("does g arrow (h1, h2)?", _arrow, [("--g", {"required": True}), "--h1", "--h2", "--edge-budget"]),
+        "ramsey-number": ("least n with K_n arrowing the pair", _ramsey_number, [
+            "--h1", "--h2", ("--n-max", {"type": int, "required": True}), "--edge-budget",
+        ]),
+        "threshold": ("threshold exponent for the pair", _threshold, [
+            "--h1", "--h2",
+            ("--no-resolve", {"action": "store_true", "help": "skip the forest search"}),
+            "--vertex-budget", "--copies-cap", "--edge-budget", "--density-budget",
+        ]),
+        "mf": ("arrowing-forest density bounds with certificate", _mf, [
+            "--h1", "--h2", "--vertex-budget", "--copies-cap", "--edge-budget",
+        ]),
+        "f-of-h": ("optimal worst path product of a tree labelling", _f_of_h, [
+            ("graph", {}), ("--edge-budget", {"type": int, "default": DEFAULT_LABEL_BUDGET}),
+        ]),
+        "colour": ("construct a named colouring of a forest", _colour, [
+            ("--f", {"required": True}),
+            ("--mode", {"required": True, "choices": list(COLOUR_MODES)}),
+            ("--root", {"type": int, "default": 0, "help": "root for descendant mode"}),
+        ]),
+        "construct": ("build one of the arrowing trees", _construct, [
+            ("--kind", {"required": True, "choices": list(CONSTRUCT_KINDS)}),
+            ("--s", {"type": int}),
+            ("--h2", {}),
+            ("--d", {"type": int}),
+            ("--height", {"type": int}),
+            ("--edges", {"action": "store_true", "help": "also print the edge list"}),
+        ]),
+        "sweep": ("seeded random-graph probes, CSV output", _sweep, [
+            ("--mode", {"required": True, "choices": ["containment", "arrow"]}),
+            ("--h", {}),
+            ("--h1", {}),
+            ("--h2", {}),
+            ("--n", {"type": int, "required": True}),
+            ("--p-grid", {"required": True, "help": "comma list; terms may be c*n^q"}),
+            ("--trials", {"type": int, "default": 100}),
+            ("--seed", {"type": int, "default": 0}),
+            ("--edge-cap", {"type": int, "default": DEFAULT_EDGE_BUDGET}),
+            ("--jobs", {"type": int, "default": _default_jobs()}),
+        ]),
+    }
+    return {name: (line, run, [(a, shared[a]) if isinstance(a, str) else a for a in args])
+            for name, (line, run, args) in commands.items()}
 
 
-def _add_shared(p: argparse.ArgumentParser, *flags: str) -> None:
-    # added in place rather than through argparse parent parsers, which
-    # would put them first and so reorder each command's usage and help
-    for flag in flags:
-        p.add_argument(flag, **SHARED_OPTIONS[flag])
-
-
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(argv=None) -> argparse.ArgumentParser:
+    """The parser of every subcommand.  Each one is registered with its
+    help line, but only the subcommands that ``argv`` names get their
+    arguments and ``-h`` (all of them when it names none), since adding
+    arguments is most of what building the parser costs.  Help, usage
+    and errors are the same either way: argparse parses one
+    subcommand's arguments, and lists the others by name and help line
+    only."""
     top = argparse.ArgumentParser(
         prog="ramsey-lab",
         description="exact colouring, density and threshold computations on small graphs",
     )
     sub = top.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("density", help="maximum density and maximum 2-density")
-    p.set_defaults(run=_density)
-    p.add_argument("graph")
-    p.add_argument("--m", action="store_true", help="print only m")
-    p.add_argument("--m2", action="store_true", help="print only m2")
-    _add_shared(p, "--density-budget")
-
-    p = sub.add_parser("classify", help="pattern family flags")
-    p.set_defaults(run=_classify)
-    p.add_argument("graph")
-
-    p = sub.add_parser("arrow", help="does g arrow (h1, h2)?")
-    p.set_defaults(run=_arrow)
-    p.add_argument("--g", required=True)
-    _add_shared(p, "--h1", "--h2", "--edge-budget")
-
-    p = sub.add_parser("ramsey-number", help="least n with K_n arrowing the pair")
-    p.set_defaults(run=_ramsey_number)
-    _add_shared(p, "--h1", "--h2")
-    p.add_argument("--n-max", type=int, required=True)
-    _add_shared(p, "--edge-budget")
-
-    p = sub.add_parser("threshold", help="threshold exponent for the pair")
-    p.set_defaults(run=_threshold)
-    _add_shared(p, "--h1", "--h2")
-    p.add_argument("--no-resolve", action="store_true", help="skip the forest search")
-    _add_shared(p, "--vertex-budget", "--copies-cap", "--edge-budget", "--density-budget")
-
-    p = sub.add_parser("mf", help="arrowing-forest density bounds with certificate")
-    p.set_defaults(run=_mf)
-    _add_shared(p, "--h1", "--h2", "--vertex-budget", "--copies-cap", "--edge-budget")
-
-    p = sub.add_parser("f-of-h", help="optimal worst path product of a tree labelling")
-    p.set_defaults(run=_f_of_h)
-    p.add_argument("graph")
-    p.add_argument("--edge-budget", type=int, default=DEFAULT_LABEL_BUDGET)
-
-    p = sub.add_parser("colour", help="construct a named colouring of a forest")
-    p.set_defaults(run=_colour)
-    p.add_argument("--f", required=True)
-    p.add_argument("--mode", required=True, choices=list(COLOUR_MODES))
-    p.add_argument("--root", type=int, default=0, help="root for descendant mode")
-
-    p = sub.add_parser("construct", help="build one of the arrowing trees")
-    p.set_defaults(run=_construct)
-    p.add_argument("--kind", required=True, choices=list(CONSTRUCT_KINDS))
-    p.add_argument("--s", type=int)
-    p.add_argument("--h2")
-    p.add_argument("--d", type=int)
-    p.add_argument("--height", type=int)
-    p.add_argument("--edges", action="store_true", help="also print the edge list")
-
-    p = sub.add_parser("sweep", help="seeded random-graph probes, CSV output")
-    p.set_defaults(run=_sweep)
-    p.add_argument("--mode", required=True, choices=["containment", "arrow"])
-    p.add_argument("--h")
-    p.add_argument("--h1")
-    p.add_argument("--h2")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--p-grid", required=True, help="comma list; terms may be c*n^q")
-    p.add_argument("--trials", type=int, default=100)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--edge-cap", type=int, default=DEFAULT_EDGE_BUDGET)
-    p.add_argument("--jobs", type=int, default=_default_jobs())
-
+    commands = _commands()
+    named = commands.keys() & set(argv or ()) or commands.keys()
+    for name, (line, run, args) in commands.items():
+        p = sub.add_parser(name, help=line, add_help=name in named)
+        p.set_defaults(run=run)
+        for flag, options in args if name in named else ():
+            p.add_argument(flag, **options)
     return top
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = build_parser(argv).parse_args(argv)
     try:
         args.run(args)
         sys.stdout.flush()

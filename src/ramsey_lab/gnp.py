@@ -9,10 +9,13 @@ pair order owns the i-th uniform of the stream, the value the i-th
 across the whole probability grid, which couples the samples
 monotonically: raising p only ever adds edges.  Every sample reads one
 draw: the trial's stream is read once, as raw words, and a pair's
-uniform is formed only if the high byte of its first word shows that it
-can lie below the largest probability wanted.  The pairs below it are
-kept, sorted by uniform (ties by pair index), and G(n, p) is a prefix
-of that draw.
+uniform is formed only if the high bytes of its first word show that it
+can lie below the largest probability wanted.  The pairs below it,
+sorted by uniform (ties by pair index), are the trial's random graph
+process, and G(n, p) is a prefix of it.  The draw is a bucket sort on
+the high byte, so a containment trial sorts only the buckets up to its
+hitting time; a sample or an arrow trial, which reads the draw to the
+end, files it in one bucket.
 Each trial of a sweep returns one column, an outcome per grid point.
 Containing a pattern and arrowing a pair both survive an added edge, so
 a trial is a hitting time, as in the random graph process: the least
@@ -81,55 +84,75 @@ def _little_words(raw: bytes):
     return words
 
 
-def _process(n: int, seed: int, trial: int, top: float) -> list[tuple[float, int]]:
+def _draw(n: int, seed: int, trial: int, top: float, shift: int = 0) -> list[list[tuple[float, int]]]:
     """The (uniform, pair index) pairs of trial ``trial`` with uniform
-    below ``top``, in increasing order (ties by pair index).
+    below ``top``, bucket sorted on the high byte of their first word.
 
     The uniforms are those of ``pair_uniforms(n, seed, trial)``; index i
-    names pair i of ``pair_order(n)``.  Sorted this way, the draw is the
-    trial's random graph process up to ``top``: G(n, p) for any p <= top
-    is the prefix of pairs with uniform below p.
-
-    The stream is read as raw 32-bit words, at most ``_BLOCK`` pairs at
-    a time, and a uniform is formed only for a pair that passes a gate
-    on its first word.  ``random()`` reads two words w1, w2 and returns
-    u = ((w1 >> 5) * 2**26 + (w2 >> 6)) / 2**53, and
-    ``getrandbits(64 * k)`` reads the same 2k words with the first in
-    the lowest bits, so in its little-endian bytes pair j's w1 fills
-    bytes 8j..8j+3 and its w2 bytes 8j+4..8j+7.  The high byte h of w1
-    (byte 8j+3) gives u >= (w1 >> 5) / 2**27 >= (h * 2**19) / 2**27 =
-    h / 256.  So u < top forces h < 256 * top, and every kept pair has
-    h <= hi = floor(256 * top) (255 once top >= 1); the gate passes
-    exactly those pairs, and the strict test u < top decides the rest.
+    names pair i of ``pair_order(n)``.  ``random()`` reads two words w1,
+    w2 and returns u = ((w1 >> 5) * 2**26 + (w2 >> 6)) / 2**53, and
+    ``getrandbits(64 * k)`` reads the same 2k words with the first in the
+    lowest bits, so in its little-endian bytes pair j's w1 fills bytes
+    8j..8j+3 and its w2 bytes 8j+4..8j+7.  The stream is read once, at
+    most ``_BLOCK`` pairs at a time.  The high byte h of w1 puts u in
+    [h/256, (h+1)/256): below top < 1 a pair with h < hi = floor(256 *
+    top) lies below top, and one with h = hi only if the second byte h2
+    of w1 lets it (u >= (256 * hi + h2) / 65536) and the strict test
+    u < top then holds.  Bucket k holds the pairs with h >> shift = k in
+    index order, so each one sorted stably by uniform, in order, is the
+    trial's random graph process up to ``top``.  A caller that may stop
+    early files each byte apart (shift 0) and sorts a bucket only when it
+    reaches it; one that reads to the end files one bucket (shift 8).
     """
     if not top > 0:  # no uniform lies below 0 (or below a NaN)
-        return []
-    hi = 255 if top >= 1 else int(top * 256)
-    gate = bytes(hi + 1) + b"\1" * (255 - hi)  # high byte -> 0 where it may pass
-    rng = trial_rng(seed, trial)
+        return [[]]
     pairs = n * (n - 1) // 2 if n > 0 else 0  # no pairs to name for a negative n either
-    draw = []
+    hi = 256 if top >= 1 else int(top * 256)
+    hi2 = int(top * 65536) - 256 * hi  # the last second byte that may pass with h = hi
+    buckets = [[] for _ in range((min(hi, 255) >> shift) + 1)]
+    below = bytes(hi) + b"\1" * (256 - hi)  # high byte -> 0 where the pair lies below top
+    rng = trial_rng(seed, trial)
     for start in range(0, pairs, _BLOCK):
         k = min(_BLOCK, pairs - start)
         raw = rng.getrandbits(64 * k).to_bytes(8 * k, "little")
         words = _little_words(raw)
-        high = raw[3::8].translate(gate)
-        j = high.find(0)
+        high = raw[3::8]
+        marks = high.translate(below)
+        j = marks.find(0)
         while j >= 0:
             # random()'s own arithmetic: every step is exact in a double
             u = ((words[2 * j] >> 5) * 2.0**26 + (words[2 * j + 1] >> 6)) * 2.0**-53
-            if u < top:
-                draw.append((u, start + j))
-            j = high.find(0, j + 1)
-    # stable on u alone: the draw is in index order, so ties stay by index
-    draw.sort(key=operator.itemgetter(0))
+            buckets[high[j] >> shift].append((u, start + j))
+            j = marks.find(0, j + 1)
+        j = high.find(hi) if hi < 256 else -1
+        while j >= 0:
+            if raw[8 * j + 2] <= hi2:
+                u = ((words[2 * j] >> 5) * 2.0**26 + (words[2 * j + 1] >> 6)) * 2.0**-53
+                if u < top:
+                    buckets[-1].append((u, start + j))
+            j = high.find(hi, j + 1)
+    return buckets
+
+
+_UNIFORM = operator.itemgetter(0)
+
+
+def _process(n: int, seed: int, trial: int, top: float) -> list[tuple[float, int]]:
+    """The draw in increasing order (ties by pair index): G(n, p) for any
+    p <= top is the prefix of pairs with uniform below p."""
+    (draw,) = _draw(n, seed, trial, top, shift=8)
+    draw.sort(key=_UNIFORM)
     return draw
 
 
-def _pairs(n: int, draw: Iterable[tuple[float, int]]) -> Iterator[tuple[int, int]]:
-    """The pair (a, b) of ``pair_order(n)`` named by each index of ``draw``, in its order."""
-    # row a of ``pair_order(n)``, the pairs (a, b > a), starts at offsets[a]
-    offsets = [a * (2 * n - a - 1) // 2 for a in range(n)]
+def _offsets(n: int) -> list[int]:
+    """Where each row of ``pair_order(n)`` starts: row a, the pairs
+    (a, b > a), at offsets[a]."""
+    return list(itertools.accumulate(range(n - 1, 0, -1), initial=0))
+
+
+def _pairs(offsets: list[int], draw: Iterable[tuple[float, int]]) -> Iterator[tuple[int, int]]:
+    """The pair (a, b) named by each index of ``draw``, in its order."""
     for _, i in draw:
         a = bisect.bisect_right(offsets, i) - 1
         yield a, i - offsets[a] + a + 1
@@ -139,7 +162,7 @@ def sample_gnp(n: int, p, seed: int, trial: int = 0) -> Graph:
     """One binomial random graph: each pair kept independently with
     probability p, driven by the named per-trial stream."""
     p = _probability(p)
-    return Graph.of(n, _pairs(n, _process(n, seed, trial, p)))
+    return Graph.of(n, _pairs(_offsets(n), _process(n, seed, trial, p)))
 
 
 @dataclass(frozen=True)
@@ -219,17 +242,16 @@ def containment_column(
     """
     if pattern.e == 0 or pattern.n > n:
         return [pattern.n <= n] * len(ps)
-    draw = _process(n, seed, trial, max(ps, default=0.0))
-    need = pattern.e
-    masks = [0] * n
-    tau = math.inf
-    for added, ((u, _), (a, b)) in enumerate(zip(draw, _pairs(n, draw)), 1):
-        masks[a] |= 1 << b
-        masks[b] |= 1 << a
-        if added >= need and has_copy_through(pattern, plans, masks, (a, b)) is not None:
-            tau = u
-            break
-    return [tau < p for p in ps]
+    offsets, masks, added = _offsets(n), [0] * n, 0
+    for draw in _draw(n, seed, trial, max(ps, default=0.0)):
+        draw.sort(key=_UNIFORM)  # only the buckets up to the hitting time are sorted
+        for (u, _), (a, b) in zip(draw, _pairs(offsets, draw)):
+            masks[a] |= 1 << b
+            masks[b] |= 1 << a
+            added += 1
+            if added >= pattern.e and has_copy_through(pattern, plans, masks, (a, b)) is not None:
+                return [u < p for p in ps]
+    return [False] * len(ps)
 
 
 def containment_sweep(
@@ -265,7 +287,7 @@ def arrow_column(
     ps = [_probability(p) for p in ps]
     draw = _process(n, seed, trial, max(ps, default=0.0))
     sizes = [bisect.bisect_left(draw, (p,)) for p in ps]  # (p,) sorts before every (p, i)
-    edges = list(_pairs(n, draw[: max(edge_cap, 0)]))
+    edges = list(_pairs(_offsets(n), draw[: max(edge_cap, 0)]))
     decided = sorted({m for m in sizes if m <= edge_cap})
     arrowing = (m for m in decided if arrows(Graph.of(n, edges[:m]), h1, h2, edge_budget=edge_cap).arrows)
     least = next(arrowing, math.inf)  # the hitting time, as a sample size

@@ -341,9 +341,10 @@ def _search(
     the order of ``plan`` (by default ``_plan(pattern)``) and candidates
     ascend, so the first embedding found is the least sequence of images
     in that order.  ``pin`` = (a, b) places the first two vertices of a
-    pinned plan (``_plan(pattern, edge)``) on the host edge (a, b); a pin
-    whose ends have fewer usable neighbours than those pattern vertices
-    have edges is refused before anything is built.
+    pinned plan (``_plan(pattern, edge)``) on the host edge (a, b), whose
+    ends the search never checks: ``has_copy_through`` skips a pin whose
+    ends have fewer usable neighbours than those pattern vertices have
+    edges.
 
     A position with placed neighbours tries, lowest bit first, the AND of
     their images' masks less the used vertices and the bits at or below
@@ -355,7 +356,7 @@ def _search(
     """
     vp, host_n = pattern.n, len(masks)
     order, placed_nbrs, need, floor = _plan(pattern) if plan is None else plan
-    if vp > host_n or pin is not None and (masks[pin[0]].bit_count() < need[0] or masks[pin[1]].bit_count() < need[1]):
+    if vp > host_n:
         return None
 
     mapping = [-1] * vp
@@ -477,8 +478,20 @@ def has_copy_through(
     a vertex map, or None.  ``plans`` are ``edge_orbit_plans(pattern)``,
     tried in order; ``masks`` (which must hold ``edge``) and ``colours``
     are as for ``_search``.
+
+    A plan is skipped without a search where it cannot place its first
+    three vertices: where an end of ``edge`` has fewer usable neighbours
+    than the pattern vertex pinned to it has edges, or where the third
+    vertex is adjacent to both pinned ones and the ends of ``edge`` have
+    no common neighbour.  Most edges a sweep adds to a sparse host fail
+    one of these.
     """
+    a, b = edge
+    da, db, common = masks[a].bit_count(), masks[b].bit_count(), masks[a] & masks[b]
     for p in plans:
+        placed, need = p[1], p[2]
+        if da < need[0] or db < need[1] or not common and len(placed) > 2 and len(placed[2]) == 2:
+            continue
         m = _search(pattern, masks, colours, p, edge)
         if m is not None:
             return m

@@ -28,7 +28,11 @@ cases are
   ``peak_rss_mb``, the child's own ``VmHWM`` from ``/proc`` (so these
   two cases run on Linux only).  The benchmark pools one
   long-lived process per worker, so only these cases show what a
-  single run pays for the per-process caches.
+  single run pays for the per-process caches;
+- ``cli``: every argv of ``tests/golden/cases.json`` (the README's
+  commands among them) through ``cli.main`` in this process, from
+  ``tests/golden`` as the golden test runs them, with the digest over
+  each one's exit code and stdout.
 
 To compare two versions, unpack the other one (``git archive REV | tar
 -x -C DIR``) and run this script on each ``src`` in turn, alternating
@@ -39,11 +43,14 @@ results.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import cProfile
 import hashlib
+import io
 import importlib
 import importlib.util
 import json
+import os
 import pstats
 import subprocess
 import sys
@@ -181,7 +188,23 @@ def forest_levels(api, src):
     ]
 
 
-LAYERS = {f.__name__: f for f in (draw, subset_walk, copy_search, forest_levels)}
+def cli(api, src):
+    golden = ROOT / "tests" / "golden"
+    cases = json.loads((golden / "cases.json").read_text(encoding="utf-8"))
+    main = importlib.import_module("ramsey_lab.cli").main
+    os.environ.pop("RAMSEY_LAB_JOBS", None)  # sweeps run their trials here, as the goldens do
+    os.chdir(golden)  # where the edge-list files the cases name live
+
+    def run(argv):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+            code = main(list(argv))
+        return code, out.getvalue()
+
+    return [Case(name, lambda argv=case["argv"]: run(argv)) for name, case in cases.items()]
+
+
+LAYERS = {f.__name__: f for f in (draw, subset_walk, copy_search, forest_levels, cli)}
 
 
 def main() -> None:
