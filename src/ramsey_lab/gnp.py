@@ -117,13 +117,13 @@ def _draw(n: int, seed: int, trial: int, top: float, shift: int = 0) -> list[lis
         raw = rng.getrandbits(64 * k).to_bytes(8 * k, "little")
         words = _little_words(raw)
         high = raw[3::8]
-        marks = high.translate(below)
-        j = marks.find(0)
+        find = high.translate(below).find
+        j = find(0)
         while j >= 0:
             # random()'s own arithmetic: every step is exact in a double
             u = ((words[2 * j] >> 5) * 2.0**26 + (words[2 * j + 1] >> 6)) * 2.0**-53
             buckets[high[j] >> shift].append((u, start + j))
-            j = marks.find(0, j + 1)
+            j = find(0, j + 1)
         j = high.find(hi) if hi < 256 else -1
         while j >= 0:
             if raw[8 * j + 2] <= hi2:
@@ -242,14 +242,15 @@ def containment_column(
     """
     if pattern.e == 0 or pattern.n > n:
         return [pattern.n <= n] * len(ps)
-    offsets, masks, added = _offsets(n), [0] * n, 0
+    offsets, masks, added, need = _offsets(n), [0] * n, 0, pattern.e
     for draw in _draw(n, seed, trial, max(ps, default=0.0)):
         draw.sort(key=_UNIFORM)  # only the buckets up to the hitting time are sorted
-        for (u, _), (a, b) in zip(draw, _pairs(offsets, draw)):
+        for (u, _), edge in zip(draw, _pairs(offsets, draw)):
+            a, b = edge
             masks[a] |= 1 << b
             masks[b] |= 1 << a
             added += 1
-            if added >= pattern.e and has_copy_through(pattern, plans, masks, (a, b)) is not None:
+            if added >= need and has_copy_through(pattern, plans, masks, edge) is not None:
                 return [u < p for p in ps]
     return [False] * len(ps)
 
