@@ -289,14 +289,19 @@ def build_parser(argv=None) -> argparse.ArgumentParser:
         prog="ramsey-lab",
         description="exact colouring, density and threshold computations on small graphs",
     )
-    sub = top.add_subparsers(dest="command", required=True)
     commands = _commands()
     named = commands.keys() & set(argv or ()) or commands.keys()
+
+    def parser(prog, **options):  # argparse never reads the parser of a subcommand argv does not name
+        return argparse.ArgumentParser(prog, **options) if prog.rpartition(" ")[2] in named else None
+
+    sub = top.add_subparsers(dest="command", required=True, parser_class=parser)
     for name, (line, run, args) in commands.items():
-        p = sub.add_parser(name, help=line, add_help=name in named)
-        p.set_defaults(run=run)
+        p = sub.add_parser(name, help=line)
         for flag, options in args if name in named else ():
             p.add_argument(flag, **options)
+        if p is not None:
+            p.set_defaults(run=run)
     return top
 
 

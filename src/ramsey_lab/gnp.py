@@ -72,14 +72,15 @@ def _probability(p) -> float:
 _BLOCK = 4096  # pairs per raw read of a trial's stream: 32 KiB
 
 
-def _little_words(raw: bytes):
-    """The 32-bit words of ``raw``, read little-endian on every host: a
-    view of ``raw`` where that is the native order, else a swapped copy."""
+def _little_words(raw: bytes, code: str = "I"):
+    """The words of ``raw`` of array type ``code`` ("I" 32-bit, "Q"
+    64-bit), read little-endian on every host: a view of ``raw`` where
+    that is the native order, else a swapped copy."""
     if sys.byteorder == "little":
-        return memoryview(raw).cast("I")
+        return memoryview(raw).cast(code)
     import array  # here, so that little-endian processes never load it
 
-    words = array.array("I", raw)
+    words = array.array(code, raw)
     words.byteswap()
     return words
 
@@ -93,16 +94,19 @@ def _draw(n: int, seed: int, trial: int, top: float, shift: int = 0) -> list[lis
     w2 and returns u = ((w1 >> 5) * 2**26 + (w2 >> 6)) / 2**53, and
     ``getrandbits(64 * k)`` reads the same 2k words with the first in the
     lowest bits, so in its little-endian bytes pair j's w1 fills bytes
-    8j..8j+3 and its w2 bytes 8j+4..8j+7.  The stream is read once, at
-    most ``_BLOCK`` pairs at a time.  The high byte h of w1 puts u in
-    [h/256, (h+1)/256): below top < 1 a pair with h < hi = floor(256 *
-    top) lies below top, and one with h = hi only if the second byte h2
-    of w1 lets it (u >= (256 * hi + h2) / 65536) and the strict test
-    u < top then holds.  Bucket k holds the pairs with h >> shift = k in
-    index order, so each one sorted stably by uniform, in order, is the
-    trial's random graph process up to ``top``.  A caller that may stop
-    early files each byte apart (shift 0) and sorts a bucket only when it
-    reaches it; one that reads to the end files one bucket (shift 8).
+    8j..8j+3 and its w2 bytes 8j+4..8j+7: its 64-bit word is x = w1 |
+    w2 << 32, and u = (x & 0xFFFFFFE0) / 2**32 + (x >> 38) / 2**53, two
+    multiples of 2**-53 whose sum below 1 is exact in a double.  The
+    stream is read once, at most ``_BLOCK`` pairs at a time.  The high
+    byte h of w1 puts u in [h/256, (h+1)/256): below top < 1 a pair
+    with h < hi = floor(256 * top) lies below top, and one with h = hi
+    only if the second byte h2 of w1 lets it (u >= (256 * hi + h2) /
+    65536) and the strict test u < top then holds.  Bucket k holds the
+    pairs with h >> shift = k in index order, so each one sorted stably
+    by uniform, in order, is the trial's random graph process up to
+    ``top``.  A caller that may stop early files each byte apart (shift
+    0) and sorts a bucket only when it reaches it; one that reads to the
+    end files one bucket (shift 8).
     """
     if not top > 0:  # no uniform lies below 0 (or below a NaN)
         return [[]]
@@ -115,19 +119,19 @@ def _draw(n: int, seed: int, trial: int, top: float, shift: int = 0) -> list[lis
     for start in range(0, pairs, _BLOCK):
         k = min(_BLOCK, pairs - start)
         raw = rng.getrandbits(64 * k).to_bytes(8 * k, "little")
-        words = _little_words(raw)
+        words = _little_words(raw, "Q")
         high = raw[3::8]
         find = high.translate(below).find
         j = find(0)
         while j >= 0:
-            # random()'s own arithmetic: every step is exact in a double
-            u = ((words[2 * j] >> 5) * 2.0**26 + (words[2 * j + 1] >> 6)) * 2.0**-53
-            buckets[high[j] >> shift].append((u, start + j))
+            x = words[j]
+            buckets[high[j] >> shift].append(((x & 0xFFFFFFE0) * 2.0**-32 + (x >> 38) * 2.0**-53, start + j))
             j = find(0, j + 1)
         j = high.find(hi) if hi < 256 else -1
         while j >= 0:
             if raw[8 * j + 2] <= hi2:
-                u = ((words[2 * j] >> 5) * 2.0**26 + (words[2 * j + 1] >> 6)) * 2.0**-53
+                x = words[j]
+                u = (x & 0xFFFFFFE0) * 2.0**-32 + (x >> 38) * 2.0**-53
                 if u < top:
                     buckets[-1].append((u, start + j))
             j = high.find(hi, j + 1)
@@ -245,12 +249,13 @@ def containment_column(
     offsets, masks, added, need = _offsets(n), [0] * n, 0, pattern.e
     for draw in _draw(n, seed, trial, max(ps, default=0.0)):
         draw.sort(key=_UNIFORM)  # only the buckets up to the hitting time are sorted
-        for (u, _), edge in zip(draw, _pairs(offsets, draw)):
-            a, b = edge
+        for u, i in draw:
+            a = bisect.bisect_right(offsets, i) - 1  # as _pairs decodes it
+            b = i - offsets[a] + a + 1
             masks[a] |= 1 << b
             masks[b] |= 1 << a
             added += 1
-            if added >= need and has_copy_through(pattern, plans, masks, edge) is not None:
+            if added >= need and has_copy_through(pattern, plans, masks, (a, b)) is not None:
                 return [u < p for p in ps]
     return [False] * len(ps)
 

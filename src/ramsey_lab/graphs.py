@@ -277,7 +277,7 @@ class Embedding:
 
 # placement order, then per position: placed neighbours (whose images' masks
 # are ANDed; none means a range scan), degree, twin floor (or None)
-Plan = tuple[tuple[int, ...], tuple[tuple[int, ...], ...], tuple[int, ...], tuple[int | None, ...]]
+Plan = tuple[tuple[int, ...], tuple[tuple[int, ...], ...], tuple[int, ...], tuple[int | None, ...], int]
 
 # each plan cache keeps at most this many patterns; a run uses a handful
 PLAN_CACHE_SIZE = 1024
@@ -285,8 +285,9 @@ PLAN_CACHE_SIZE = 1024
 
 @lru_cache(maxsize=PLAN_CACHE_SIZE)
 def _plan(pattern: Graph, pinned: Edge | None = None) -> Plan:
-    """Placement order for ``_search``, and per position the pattern
-    neighbours placed before that vertex, its degree and its twin floor.
+    """Placement order for ``_search``, per position the pattern
+    neighbours placed before that vertex, its degree and its twin floor,
+    and how many later vertices are adjacent to both pinned ones.
 
     Without ``pinned``, vertices go in decreasing degree order.  A pinned
     oriented edge (x, y) puts x and y first; each later vertex is then the
@@ -321,7 +322,8 @@ def _plan(pattern: Graph, pinned: Edge | None = None) -> Plan:
     for v in order[start:]:
         floor.append(latest.get(adj[v], latest.get(adj[v] | {v})))
         latest[adj[v]] = latest[adj[v] | {v}] = v
-    return tuple(order), placed_nbrs, tuple(degree(v) for v in order), tuple(floor)
+    shared = sum(order[0] in nbrs and order[1] in nbrs for nbrs in placed_nbrs[2:]) if start else 0
+    return tuple(order), placed_nbrs, tuple(degree(v) for v in order), tuple(floor), shared
 
 
 def _search(
@@ -355,7 +357,7 @@ def _search(
     lower: no cut drops it, and the unfiltered search finds it first.
     """
     vp, host_n = pattern.n, len(masks)
-    order, placed_nbrs, need, floor = _plan(pattern) if plan is None else plan
+    order, placed_nbrs, need, floor, _ = _plan(pattern) if plan is None else plan
     if vp > host_n:
         return None
 
@@ -479,18 +481,18 @@ def has_copy_through(
     tried in order; ``masks`` (which must hold ``edge``) and ``colours``
     are as for ``_search``.
 
-    A plan is skipped without a search where it cannot place its first
-    three vertices: where an end of ``edge`` has fewer usable neighbours
-    than the pattern vertex pinned to it has edges, or where the third
-    vertex is adjacent to both pinned ones and the ends of ``edge`` have
-    no common neighbour.  Most edges a sweep adds to a sparse host fail
-    one of these.
+    A plan is skipped without a search where an end of ``edge`` has
+    fewer usable neighbours than the pattern vertex pinned to it has
+    edges, or where the ends of ``edge`` have fewer common neighbours
+    than the plan's pattern vertices adjacent to both pinned ones, which
+    need distinct images there.  Most edges a sweep adds to a sparse host
+    fail one of these.
     """
     a, b = edge
-    da, db, common = masks[a].bit_count(), masks[b].bit_count(), masks[a] & masks[b]
+    da, db, common = masks[a].bit_count(), masks[b].bit_count(), (masks[a] & masks[b]).bit_count()
     for p in plans:
-        placed, need = p[1], p[2]
-        if da < need[0] or db < need[1] or not common and len(placed) > 2 and len(placed[2]) == 2:
+        need = p[2]
+        if da < need[0] or db < need[1] or common < p[4]:
             continue
         m = _search(pattern, masks, colours, p, edge)
         if m is not None:

@@ -731,6 +731,17 @@ def test_plan_floors_chain_unpinned_twins():
         assert p[3] == (None,) * p4.n
 
 
+def test_pinned_plans_count_the_common_neighbours_of_their_ends():
+    # has_copy_through skips a plan when the host edge's ends have fewer
+    # common neighbours than the pinned pattern vertices have
+    for pattern in TWIN_PATTERNS + tuple(parse_graph(s) for s in THROUGH_PATTERNS):
+        assert _plan(pattern)[4] == 0
+        for u, v in pattern.sorted_edges:
+            for x, y in ((u, v), (v, u)):
+                assert _plan(pattern, (x, y))[4] == len(pattern.adj[x] & pattern.adj[y])
+    assert [p[4] for p in edge_orbit_plans(complete_graph(4))] == [2]
+
+
 def test_pinned_ends_are_never_floors():
     for pattern in TWIN_PATTERNS + (path(2), complete_graph(3), parse_graph("T(2,2)")):
         plans = [_plan(pattern, xy) for u, v in pattern.sorted_edges for xy in ((u, v), (v, u))]
