@@ -85,7 +85,7 @@ def _little_words(raw: bytes, code: str = "I"):
     return words
 
 
-def _draw(n: int, seed: int, trial: int, top: float, shift: int = 0) -> list[list[tuple[float, int]]]:
+def _draw(n: int, seed: int, trial: int, top: float, shift: int = 0) -> Iterator[list[tuple[float, int]]]:
     """The (uniform, pair index) pairs of trial ``trial`` with uniform
     below ``top``, bucket sorted on the high byte of their first word.
 
@@ -101,21 +101,39 @@ def _draw(n: int, seed: int, trial: int, top: float, shift: int = 0) -> list[lis
     byte h of w1 puts u in [h/256, (h+1)/256): below top < 1 a pair
     with h < hi = floor(256 * top) lies below top, and one with h = hi
     only if the second byte h2 of w1 lets it (u >= (256 * hi + h2) /
-    65536) and the strict test u < top then holds.  Bucket k holds the
-    pairs with h >> shift = k in index order, so each one sorted stably
-    by uniform, in order, is the trial's random graph process up to
-    ``top``.  A caller that may stop early files each byte apart (shift
-    0) and sorts a bucket only when it reaches it; one that reads to the
-    end files one bucket (shift 8).
+    65536) and the strict test u < top then holds.
+
+    The buckets come in order; bucket k holds the pairs with h >> shift
+    = k in index order, so each one sorted stably by uniform, in order,
+    is the trial's random graph process up to ``top``.  A caller that
+    may stop early takes each byte apart (shift 0) and sorts a bucket
+    only when it reaches it; if the trial is one block, that block is
+    kept and a bucket's pairs are found and formed only then.  A caller
+    that reads to the end takes one bucket (shift 8).
     """
     if not top > 0:  # no uniform lies below 0 (or below a NaN)
-        return [[]]
+        yield []
+        return
     pairs = n * (n - 1) // 2 if n > 0 else 0  # no pairs to name for a negative n either
     hi = 256 if top >= 1 else int(top * 256)
     hi2 = int(top * 65536) - 256 * hi  # the last second byte that may pass with h = hi
+    rng = trial_rng(seed, trial)
+    if not shift and pairs <= _BLOCK:
+        raw = rng.getrandbits(64 * pairs).to_bytes(8 * pairs, "little")
+        words, find = _little_words(raw, "Q"), raw[3::8].find
+        for h in range(min(hi, 255) + 1):
+            bucket, j = [], find(h)
+            while j >= 0:
+                if h < hi or raw[8 * j + 2] <= hi2:
+                    x = words[j]
+                    u = (x & 0xFFFFFFE0) * 2.0**-32 + (x >> 38) * 2.0**-53
+                    if u < top:
+                        bucket.append((u, j))
+                j = find(h, j + 1)
+            yield bucket
+        return
     buckets = [[] for _ in range((min(hi, 255) >> shift) + 1)]
     below = bytes(hi) + b"\1" * (256 - hi)  # high byte -> 0 where the pair lies below top
-    rng = trial_rng(seed, trial)
     for start in range(0, pairs, _BLOCK):
         k = min(_BLOCK, pairs - start)
         raw = rng.getrandbits(64 * k).to_bytes(8 * k, "little")
@@ -135,7 +153,7 @@ def _draw(n: int, seed: int, trial: int, top: float, shift: int = 0) -> list[lis
                 if u < top:
                     buckets[-1].append((u, start + j))
             j = high.find(hi, j + 1)
-    return buckets
+    yield from buckets
 
 
 _UNIFORM = operator.itemgetter(0)

@@ -488,11 +488,10 @@ def has_copy_through(
     need distinct images there.  Most edges a sweep adds to a sparse host
     fail one of these.
     """
-    a, b = edge
-    da, db, common = masks[a].bit_count(), masks[b].bit_count(), (masks[a] & masks[b]).bit_count()
+    ma, mb = masks[edge[0]], masks[edge[1]]
     for p in plans:
         need = p[2]
-        if da < need[0] or db < need[1] or common < p[4]:
+        if ma.bit_count() < need[0] or mb.bit_count() < need[1] or (ma & mb).bit_count() < p[4]:
             continue
         m = _search(pattern, masks, colours, p, edge)
         if m is not None:
