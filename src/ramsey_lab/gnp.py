@@ -115,13 +115,14 @@ def _draw(n: int, seed: int, trial: int, top: float, shift: int = 0) -> Iterator
         yield []
         return
     pairs = n * (n - 1) // 2 if n > 0 else 0  # no pairs to name for a negative n either
-    hi = 256 if top >= 1 else int(top * 256)
-    hi2 = int(top * 65536) - 256 * hi  # the last second byte that may pass with h = hi
+    # hi = floor(256 * top), and the last second byte that may pass with h = hi
+    hi, hi2 = (256, 0) if top >= 1 else divmod(int(top * 65536), 256)
+    last = min(hi, 255)  # the last high byte that may pass
     rng = trial_rng(seed, trial)
     if not shift and pairs <= _BLOCK:
         raw = rng.getrandbits(64 * pairs).to_bytes(8 * pairs, "little")
         words, find = _little_words(raw, "Q"), raw[3::8].find
-        for h in range(min(hi, 255) + 1):
+        for h in range(last + 1):
             bucket, j = [], find(h)
             while j >= 0:
                 if h < hi or raw[8 * j + 2] <= hi2:
@@ -132,27 +133,22 @@ def _draw(n: int, seed: int, trial: int, top: float, shift: int = 0) -> Iterator
                 j = find(h, j + 1)
             yield bucket
         return
-    buckets = [[] for _ in range((min(hi, 255) >> shift) + 1)]
-    below = bytes(hi) + b"\1" * (256 - hi)  # high byte -> 0 where the pair lies below top
+    buckets = [[] for _ in range((last >> shift) + 1)]
+    gate = bytes(last + 1) + b"\1" * (255 - last)  # high byte -> 0 where the pair may pass
     for start in range(0, pairs, _BLOCK):
         k = min(_BLOCK, pairs - start)
         raw = rng.getrandbits(64 * k).to_bytes(8 * k, "little")
-        words = _little_words(raw, "Q")
-        high = raw[3::8]
-        find = high.translate(below).find
+        words, high = _little_words(raw, "Q"), raw[3::8]
+        find = high.translate(gate).find
         j = find(0)
         while j >= 0:
-            x = words[j]
-            buckets[high[j] >> shift].append(((x & 0xFFFFFFE0) * 2.0**-32 + (x >> 38) * 2.0**-53, start + j))
-            j = find(0, j + 1)
-        j = high.find(hi) if hi < 256 else -1
-        while j >= 0:
-            if raw[8 * j + 2] <= hi2:
+            h = high[j]
+            if h < hi or raw[8 * j + 2] <= hi2:
                 x = words[j]
                 u = (x & 0xFFFFFFE0) * 2.0**-32 + (x >> 38) * 2.0**-53
                 if u < top:
-                    buckets[-1].append((u, start + j))
-            j = high.find(hi, j + 1)
+                    buckets[h >> shift].append((u, start + j))
+            j = find(0, j + 1)
     yield from buckets
 
 

@@ -230,17 +230,17 @@ def test_containment_column_property(n, spec, grid, seed, trial):
             assert not (p <= q and here and not there)
 
 
-
 # a top on a step of the draw's gates, k/256 for its high byte and k/65536
-# for its second byte, or just either side of one; or a top of at least 1,
-# 0 or NaN, where no gate is needed or nothing lies below
+# for its second byte, or just either side of one; or a top of at least 1
+# (infinity among them), 0 or NaN, where no gate is needed or nothing lies
+# below
 bucket_tops = st.one_of(
     st.tuples(st.sampled_from([256, 65536]), st.integers(0, 256)).flatmap(
         lambda step: st.sampled_from(
             [step[1] / step[0], math.nextafter(step[1] / step[0], 0), math.nextafter(step[1] / step[0], 1)]
         )
     ),
-    st.sampled_from([1.0, math.nextafter(1.0, 2), 1.5, 0.0, math.nan]),
+    st.sampled_from([1.0, math.nextafter(1.0, 2), 1.5, math.inf, 0.0, math.nan]),
 )
 
 
@@ -266,6 +266,7 @@ def test_containment_column_at_the_gate_steps(n, spec, top, below, seed, trial):
     grid = [top] + [top if math.isnan(top) else top * p if isinstance(p, float) else _cut_off(p, us) for p in below]
     column = containment_column(n, pattern, edge_orbit_plans(pattern), grid, seed, trial)
     assert column == containment_column_oracle(n, pattern, grid, seed, trial)
+
 
 def test_arrow_sweep_opens_one_pool(monkeypatch, capsys):
     """An arrow sweep runs every trial's whole column in one pool, not one
@@ -379,7 +380,6 @@ def test_blocked_draw_is_the_stream_at_every_gate_step(n, seed, trial, top):
     assert sample_gnp(n, top, seed, trial) == expect
 
 
-
 @settings(max_examples=100, deadline=None, derandomize=True, database=None)
 @given(st.integers(0, 140), st.integers(0, 2**32), st.integers(0, 50), bucket_tops)
 @example(140, 0, 0, 1 / 65536)
@@ -390,6 +390,7 @@ def test_draw_is_the_stream_at_every_second_byte_step(n, seed, trial, top):
     if not math.isnan(top) and top <= 1:
         expect = Graph.of(n, [e for e, u in zip(pair_order(n), us) if u < top])
         assert sample_gnp(n, top, seed, trial) == expect
+
 
 ARROW_PAIRS = [("K1,2", "K1,2"), ("K1,2", "P3"), ("K3", "P3"), ("M2", "K1,2"), ("K2", "K2")]
 
