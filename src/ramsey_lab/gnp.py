@@ -12,10 +12,10 @@ draw: the trial's stream is read once, as raw words, and a pair's
 uniform is formed only if the high bytes of its first word show that it
 can lie below the largest probability wanted.  The pairs below it,
 sorted by uniform (ties by pair index), are the trial's random graph
-process, and G(n, p) is a prefix of it.  The draw is a bucket sort on
-the high byte, so a containment trial sorts only the buckets up to its
-hitting time; a sample or an arrow trial, which reads the draw to the
-end, files it in one bucket.
+process, and G(n, p) is a prefix of it.  A containment trial whose
+pairs fit in one read keeps that read and forms and sorts the pairs of
+each high byte only when it reaches them, so it stops at the byte that
+holds its hitting time.
 Each trial of a sweep returns one column, an outcome per grid point.
 Containing a pattern and arrowing a pair both survive an added edge, so
 a trial is a hitting time, as in the random graph process: the least
@@ -85,56 +85,41 @@ def _little_words(raw: bytes, code: str = "I"):
     return words
 
 
-def _draw(n: int, seed: int, trial: int, top: float, shift: int = 0) -> Iterator[list[tuple[float, int]]]:
+_UNIFORM = operator.itemgetter(0)
+
+
+def _process(n: int, seed: int, trial: int, top: float) -> list[tuple[float, int]]:
     """The (uniform, pair index) pairs of trial ``trial`` with uniform
-    below ``top``, bucket sorted on the high byte of their first word.
+    below ``top``, in increasing order (ties by pair index).
 
     The uniforms are those of ``pair_uniforms(n, seed, trial)``; index i
-    names pair i of ``pair_order(n)``.  ``random()`` reads two words w1,
-    w2 and returns u = ((w1 >> 5) * 2**26 + (w2 >> 6)) / 2**53, and
-    ``getrandbits(64 * k)`` reads the same 2k words with the first in the
-    lowest bits, so in its little-endian bytes pair j's w1 fills bytes
-    8j..8j+3 and its w2 bytes 8j+4..8j+7: its 64-bit word is x = w1 |
-    w2 << 32, and u = (x & 0xFFFFFFE0) / 2**32 + (x >> 38) / 2**53, two
-    multiples of 2**-53 whose sum below 1 is exact in a double.  The
-    stream is read once, at most ``_BLOCK`` pairs at a time.  The high
-    byte h of w1 puts u in [h/256, (h+1)/256): below top < 1 a pair
-    with h < hi = floor(256 * top) lies below top, and one with h = hi
-    only if the second byte h2 of w1 lets it (u >= (256 * hi + h2) /
-    65536) and the strict test u < top then holds.
+    names pair i of ``pair_order(n)``.  Sorted this way, the draw is the
+    trial's random graph process up to ``top``: G(n, p) for any p <= top
+    is the prefix of pairs with uniform below p.
 
-    The buckets come in order; bucket k holds the pairs with h >> shift
-    = k in index order, so each one sorted stably by uniform, in order,
-    is the trial's random graph process up to ``top``.  A caller that
-    may stop early takes each byte apart (shift 0) and sorts a bucket
-    only when it reaches it; if the trial is one block, that block is
-    kept and a bucket's pairs are found and formed only then.  A caller
-    that reads to the end takes one bucket (shift 8).
+    ``random()`` reads two words w1, w2 and returns u = ((w1 >> 5) *
+    2**26 + (w2 >> 6)) / 2**53, and ``getrandbits(64 * k)`` reads the
+    same 2k words with the first in the lowest bits, so in its
+    little-endian bytes pair j's w1 fills bytes 8j..8j+3 and its w2
+    bytes 8j+4..8j+7: its 64-bit word is x = w1 | w2 << 32, and u = (x &
+    0xFFFFFFE0) / 2**32 + (x >> 38) / 2**53, two multiples of 2**-53
+    whose sum below 1 is exact in a double.  The stream is read once, at
+    most ``_BLOCK`` pairs at a time.  The high byte h of w1 puts u in
+    [h/256, (h+1)/256): below top < 1 a pair with h < hi = floor(256 *
+    top) lies below top, and one with h = hi only if the second byte h2
+    of w1 lets it (u >= (256 * hi + h2) / 65536) and the strict test
+    u < top then holds.  A uniform is formed only for a pair that passes
+    these gates.
     """
     if not top > 0:  # no uniform lies below 0 (or below a NaN)
-        yield []
-        return
+        return []
     pairs = n * (n - 1) // 2 if n > 0 else 0  # no pairs to name for a negative n either
     # hi = floor(256 * top), and the last second byte that may pass with h = hi
     hi, hi2 = (256, 0) if top >= 1 else divmod(int(top * 65536), 256)
     last = min(hi, 255)  # the last high byte that may pass
-    rng = trial_rng(seed, trial)
-    if not shift and pairs <= _BLOCK:
-        raw = rng.getrandbits(64 * pairs).to_bytes(8 * pairs, "little")
-        words, find = _little_words(raw, "Q"), raw[3::8].find
-        for h in range(last + 1):
-            bucket, j = [], find(h)
-            while j >= 0:
-                if h < hi or raw[8 * j + 2] <= hi2:
-                    x = words[j]
-                    u = (x & 0xFFFFFFE0) * 2.0**-32 + (x >> 38) * 2.0**-53
-                    if u < top:
-                        bucket.append((u, j))
-                j = find(h, j + 1)
-            yield bucket
-        return
-    buckets = [[] for _ in range((last >> shift) + 1)]
     gate = bytes(last + 1) + b"\1" * (255 - last)  # high byte -> 0 where the pair may pass
+    rng = trial_rng(seed, trial)
+    draw = []
     for start in range(0, pairs, _BLOCK):
         k = min(_BLOCK, pairs - start)
         raw = rng.getrandbits(64 * k).to_bytes(8 * k, "little")
@@ -142,25 +127,41 @@ def _draw(n: int, seed: int, trial: int, top: float, shift: int = 0) -> Iterator
         find = high.translate(gate).find
         j = find(0)
         while j >= 0:
-            h = high[j]
+            if high[j] < hi or raw[8 * j + 2] <= hi2:
+                x = words[j]
+                u = (x & 0xFFFFFFE0) * 2.0**-32 + (x >> 38) * 2.0**-53
+                if u < top:
+                    draw.append((u, start + j))
+            j = find(0, j + 1)
+    # stable on u alone: the draw is in index order, so ties stay by index
+    draw.sort(key=_UNIFORM)
+    return draw
+
+
+def _draw(n: int, seed: int, trial: int, top: float) -> Iterator[list[tuple[float, int]]]:
+    """``_process(n, seed, trial, top)`` in consecutive pieces, for a
+    caller that may stop early.  When the trial's pairs fit in one block,
+    that block is kept and piece h, the pairs whose first word has high
+    byte h, is found, formed and sorted only when the caller reaches it,
+    with the gates of ``_process``; a larger trial is one piece."""
+    pairs = n * (n - 1) // 2 if n > 0 else 0
+    if not (top > 0 and pairs <= _BLOCK):
+        yield _process(n, seed, trial, top)
+        return
+    hi, hi2 = (256, 0) if top >= 1 else divmod(int(top * 65536), 256)  # as _process gates
+    raw = trial_rng(seed, trial).getrandbits(64 * pairs).to_bytes(8 * pairs, "little")
+    words, find = _little_words(raw, "Q"), raw[3::8].find
+    for h in range(min(hi, 255) + 1):
+        bucket, j = [], find(h)
+        while j >= 0:
             if h < hi or raw[8 * j + 2] <= hi2:
                 x = words[j]
                 u = (x & 0xFFFFFFE0) * 2.0**-32 + (x >> 38) * 2.0**-53
                 if u < top:
-                    buckets[h >> shift].append((u, start + j))
-            j = find(0, j + 1)
-    yield from buckets
-
-
-_UNIFORM = operator.itemgetter(0)
-
-
-def _process(n: int, seed: int, trial: int, top: float) -> list[tuple[float, int]]:
-    """The draw in increasing order (ties by pair index): G(n, p) for any
-    p <= top is the prefix of pairs with uniform below p."""
-    (draw,) = _draw(n, seed, trial, top, shift=8)
-    draw.sort(key=_UNIFORM)
-    return draw
+                    bucket.append((u, j))
+            j = find(h, j + 1)
+        bucket.sort(key=_UNIFORM)
+        yield bucket
 
 
 def _offsets(n: int) -> list[int]:
@@ -169,8 +170,9 @@ def _offsets(n: int) -> list[int]:
     return list(itertools.accumulate(range(n - 1, 0, -1), initial=0))
 
 
-def _pairs(offsets: list[int], draw: Iterable[tuple[float, int]]) -> Iterator[tuple[int, int]]:
-    """The pair (a, b) named by each index of ``draw``, in its order."""
+def _pairs(n: int, draw: Iterable[tuple[float, int]]) -> Iterator[tuple[int, int]]:
+    """The pair (a, b) of ``pair_order(n)`` named by each index of ``draw``, in its order."""
+    offsets = _offsets(n)
     for _, i in draw:
         a = bisect.bisect_right(offsets, i) - 1
         yield a, i - offsets[a] + a + 1
@@ -180,7 +182,7 @@ def sample_gnp(n: int, p, seed: int, trial: int = 0) -> Graph:
     """One binomial random graph: each pair kept independently with
     probability p, driven by the named per-trial stream."""
     p = _probability(p)
-    return Graph.of(n, _pairs(_offsets(n), _process(n, seed, trial, p)))
+    return Graph.of(n, _pairs(n, _process(n, seed, trial, p)))
 
 
 @dataclass(frozen=True)
@@ -262,7 +264,6 @@ def containment_column(
         return [pattern.n <= n] * len(ps)
     offsets, masks, added, need = _offsets(n), [0] * n, 0, pattern.e
     for draw in _draw(n, seed, trial, max(ps, default=0.0)):
-        draw.sort(key=_UNIFORM)  # only the buckets up to the hitting time are sorted
         for u, i in draw:
             a = bisect.bisect_right(offsets, i) - 1  # as _pairs decodes it
             b = i - offsets[a] + a + 1
@@ -307,7 +308,7 @@ def arrow_column(
     ps = [_probability(p) for p in ps]
     draw = _process(n, seed, trial, max(ps, default=0.0))
     sizes = [bisect.bisect_left(draw, (p,)) for p in ps]  # (p,) sorts before every (p, i)
-    edges = list(_pairs(_offsets(n), draw[: max(edge_cap, 0)]))
+    edges = list(_pairs(n, draw[: max(edge_cap, 0)]))
     decided = sorted({m for m in sizes if m <= edge_cap})
     arrowing = (m for m in decided if arrows(Graph.of(n, edges[:m]), h1, h2, edge_budget=edge_cap).arrows)
     least = next(arrowing, math.inf)  # the hitting time, as a sample size

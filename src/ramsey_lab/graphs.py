@@ -276,7 +276,8 @@ class Embedding:
 
 
 # placement order, then per position: placed neighbours (whose images' masks
-# are ANDed; none means a range scan), degree, twin floor (or None)
+# are ANDed; none means a range scan), degree, twin floor (or None); then the
+# number of vertices adjacent to both pinned ones (0 without a pin)
 Plan = tuple[tuple[int, ...], tuple[tuple[int, ...], ...], tuple[int, ...], tuple[int | None, ...], int]
 
 # each plan cache keeps at most this many patterns; a run uses a handful
@@ -344,9 +345,7 @@ def _search(
     ascend, so the first embedding found is the least sequence of images
     in that order.  ``pin`` = (a, b) places the first two vertices of a
     pinned plan (``_plan(pattern, edge)``) on the host edge (a, b), whose
-    ends the search never checks: ``has_copy_through`` skips a pin whose
-    ends have fewer usable neighbours than those pattern vertices have
-    edges.
+    ends the search never checks (``has_copy_through`` gates them).
 
     A position with placed neighbours tries, lowest bit first, the AND of
     their images' masks less the used vertices and the bits at or below
