@@ -268,6 +268,31 @@ def test_containment_column_at_the_gate_steps(n, spec, top, below, seed, trial):
     assert column == containment_column_oracle(n, pattern, grid, seed, trial)
 
 
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(
+    st.sampled_from([6, 9, 12, 60, 91, 92, 130]),
+    st.sampled_from(["K3", "K1,2", "P3", "M2", "4; 0 1; 1 2; 2 3; 3 0"]),
+    st.integers(0, 2**16),
+    st.integers(0, 50),
+)
+def test_containment_column_just_above_its_hitting_time(n, spec, seed, trial):
+    """A top just above the hitting edge's uniform keeps that edge, whose
+    high and second bytes are then the top's own: the draw's last gate
+    step decides the column."""
+    pattern = parse_graph(spec)
+    us = sorted(pair_uniforms(n, seed, trial))
+    lo, hi = 0, len(us) - 1  # the pattern is in the complete graph, at the last uniform
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if containment_column_oracle(n, pattern, [math.nextafter(us[mid], 1)], seed, trial)[0]:
+            hi = mid
+        else:
+            lo = mid + 1
+    tau = us[lo]
+    grid = [tau, math.nextafter(tau, 1)]
+    assert containment_column(n, pattern, edge_orbit_plans(pattern), grid, seed, trial) == [False, True]
+
+
 def test_arrow_sweep_opens_one_pool(monkeypatch, capsys):
     """An arrow sweep runs every trial's whole column in one pool, not one
     pool per grid point, and prints the recorded rows."""
