@@ -370,9 +370,11 @@ def test_random_is_two_words_of_getrandbits_low_first():
     for j in range(1000):
         w1, w2 = raw >> 64 * j & 0xFFFFFFFF, raw >> 64 * j + 32 & 0xFFFFFFFF
         assert stream.random() == ((w1 >> 5) * 2**26 + (w2 >> 6)) / 2**53
-    # and the draw reads those words in the same order on any host
+    # and the draw reads those words in the same order on any host, one
+    # or two at a time
     data = raw.to_bytes(8 * 1000, "little")
     assert list(gnp._little_words(data)) == list(struct.unpack("<2000I", data))
+    assert list(gnp._little_words(data, "Q")) == list(struct.unpack("<1000Q", data))
 
 
 def test_draw_is_the_stream_for_every_small_n():
