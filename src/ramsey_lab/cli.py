@@ -7,9 +7,9 @@ output byte for byte (sweeps are seeded).  Exit codes: 0 success, 1
 domain refusal (budget, open problem), 2 parse error.
 
 The ten subcommands are declared in one table (``_commands``).  A run
-registers each one by name and help line but builds a parser, with its
-arguments, only for the subcommand its argv names, since building
-argparse parsers for all ten took about half of a small sweep's run.
+registers each one by name and help line but adds arguments only to
+the subcommand its argv names, since building every subcommand's
+arguments took about half of a small sweep's run.
 """
 
 from __future__ import annotations
@@ -279,26 +279,22 @@ def _commands() -> dict:
 
 def build_parser(argv=None) -> argparse.ArgumentParser:
     """The parser of every subcommand.  Each one is registered with its
-    help line, but only the subcommands that ``argv`` names get a parser
-    of their own, with their arguments and ``-h`` (all of them when it
-    names none): building those parsers is most of what building the
-    whole parser costs.  Help, usage and errors are the same either way:
-    argparse parses one subcommand's arguments, and lists the others by
-    name and help line only."""
+    help line, but only the subcommands that ``argv`` names get their
+    arguments and ``-h`` (all of them when it names none); the others
+    get a bare parser that nothing parses with, since adding arguments
+    is most of what building the whole parser costs.  Help, usage and
+    errors are the same either way: argparse parses one subcommand's
+    arguments, and lists the others by name and help line only."""
     top = argparse.ArgumentParser(
         prog="ramsey-lab",
         description="exact colouring, density and threshold computations on small graphs",
     )
     commands = _commands()
     named = commands.keys() & set(argv or ()) or commands.keys()
-
-    def parser(prog, **options):  # prog is "ramsey-lab <subcommand>"
-        return argparse.ArgumentParser(prog, **options) if prog.rpartition(" ")[2] in named else None
-
-    sub = top.add_subparsers(dest="command", required=True, parser_class=parser)
+    sub = top.add_subparsers(dest="command", required=True)
     for name, (line, run, args) in commands.items():
-        p = sub.add_parser(name, help=line)
-        if p is not None:
+        p = sub.add_parser(name, help=line, add_help=name in named)
+        if name in named:
             p.set_defaults(run=run)
             for flag, options in args:
                 p.add_argument(flag, **options)

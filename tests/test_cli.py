@@ -385,6 +385,8 @@ def test_package_runs_on_the_standard_library_alone():
 COMMANDS = ("density", "classify", "arrow", "ramsey-number", "threshold", "mf", "f-of-h", "colour", "construct", "sweep")
 PARSE_ONLY = [["-h"], [], ["bogus"], ["--bogus"]]
 PARSE_ONLY += [argv for c in COMMANDS for argv in ([c, "-h"], [c], [c, "--bogus"], [c, "--h1"])]
+# argv that names a second subcommand as the value of an argument
+PARSE_ONLY += [["classify", "sweep", "--bogus"], ["sweep", "--h", "density"]]
 
 
 def exits(call, argv):
